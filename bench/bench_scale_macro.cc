@@ -25,9 +25,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <regex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -119,6 +121,13 @@ long long PeakRssBytes() {
     }
   }
   return 0;
+}
+
+// 1-minute load average, or -1 when the host does not report it. The
+// baseline records it so a noisy capture is visible in the JSON.
+double LoadAverage() {
+  double load = -1;
+  return getloadavg(&load, 1) == 1 ? load : -1;
 }
 
 // --- cell geometry ------------------------------------------------------
@@ -292,6 +301,7 @@ int main(int argc, char** argv) {
     long long peak_rss = 0;
   };
   std::vector<Entry> entries;
+  const double loadavg_start = LoadAverage();
 
   // Cells run serially (ascending N, web before kv at each N) so
   // wall-clock per replication is undisturbed and VmHWM is meaningful
@@ -333,9 +343,16 @@ int main(int argc, char** argv) {
                    flags.json_path.c_str());
       return 1;
     }
+    char date[16];
+    const std::time_t now = std::time(nullptr);
+    std::strftime(date, sizeof(date), "%Y-%m-%d", std::gmtime(&now));
     std::fprintf(f,
                  "{\n  \"context\": {\n"
                  "    \"executable\": \"bench_scale_macro\",\n"
+                 "    \"date\": \"%s\",\n"
+                 "    \"num_cpus\": %u,\n"
+                 "    \"loadavg_start\": %.2f,\n"
+                 "    \"loadavg_end\": %.2f,\n"
                  "    \"window_seconds\": %g,\n"
                  "    \"reps\": %d,\n"
                  "    \"note\": \"items_per_second = whole replications "
@@ -343,7 +360,8 @@ int main(int argc, char** argv) {
                  "informational; peak_rss_bytes is process VmHWM "
                  "(monotonic across cells, run in ascending-N "
                  "order)\"\n  },\n  \"benchmarks\": [\n",
-                 kWindowSeconds, flags.reps);
+                 date, std::thread::hardware_concurrency(), loadavg_start,
+                 LoadAverage(), kWindowSeconds, flags.reps);
     for (std::size_t i = 0; i < entries.size(); ++i) {
       const Entry& e = entries[i];
       std::fprintf(

@@ -1,6 +1,7 @@
 #include "shard/ring.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 namespace wimpy::shard {
@@ -22,7 +23,11 @@ std::uint64_t PointHash(std::uint64_t salt, int node, int replica) {
                             static_cast<std::uint64_t>(replica)));
 }
 
-bool IsPowerOfTwo(int n) { return n > 0 && (n & (n - 1)) == 0; }
+[[maybe_unused]] bool IsPowerOfTwo(int n) {
+  return n > 0 && (n & (n - 1)) == 0;
+}
+
+std::atomic<std::uint64_t> g_rebuilds{0};
 
 }  // namespace
 
@@ -48,6 +53,16 @@ void Ring::AddNode(int node_id) {
   Rebuild();
 }
 
+void Ring::AddNodes(const std::vector<int>& node_ids) {
+  members_.insert(members_.end(), node_ids.begin(), node_ids.end());
+  std::sort(members_.begin(), members_.end());
+  assert(members_.empty() || members_.front() >= 0);
+  assert(std::adjacent_find(members_.begin(), members_.end()) ==
+             members_.end() &&
+         "node already on the ring");
+  Rebuild();
+}
+
 void Ring::RemoveNode(int node_id) {
   assert(has_node(node_id) && "node not on the ring");
   members_.erase(
@@ -59,7 +74,12 @@ int Ring::chain_length() const {
   return std::min(config_.replication, node_count());
 }
 
+std::uint64_t Ring::rebuilds() {
+  return g_rebuilds.load(std::memory_order_relaxed);
+}
+
 void Ring::Rebuild() {
+  g_rebuilds.fetch_add(1, std::memory_order_relaxed);
   points_.clear();
   points_.reserve(members_.size() *
                   static_cast<std::size_t>(config_.vnodes_per_node));

@@ -47,8 +47,11 @@ class Ring {
 
   // Membership. Node ids are small dense application-level indices
   // (e.g. positions in a store vector). Adding an existing node or
-  // removing an absent one is an error (asserted).
+  // removing an absent one is an error (asserted). Every call rebuilds
+  // the whole map, so fill a ring with AddNodes: one rebuild for the
+  // batch, and the same map as adding the nodes one by one in any order.
   void AddNode(int node_id);
+  void AddNodes(const std::vector<int>& node_ids);
   void RemoveNode(int node_id);
   bool has_node(int node_id) const;
   int node_count() const { return static_cast<int>(members_.size()); }
@@ -83,6 +86,11 @@ class Ring {
   // geometry (the key-movement measure the churn test pins).
   static std::vector<int> MovedPrimaries(const Ring& before,
                                          const Ring& after);
+
+  // Process-wide count of map rebuilds (one per AddNode, AddNodes or
+  // RemoveNode call). A diagnostic, not a knob: tests pin how many
+  // rebuilds a testbed costs so set-up work cannot grow unnoticed.
+  static std::uint64_t rebuilds();
 
  private:
   void Rebuild();

@@ -7,7 +7,7 @@ namespace wimpy::shard {
 
 Router::Router(const RingConfig& config, const std::vector<int>& node_ids)
     : ring_(config) {
-  for (int id : node_ids) ring_.AddNode(id);
+  ring_.AddNodes(node_ids);
   const std::size_t shards = static_cast<std::size_t>(ring_.shards());
   serving_.resize(shards);
   migrating_.assign(shards, 0);

@@ -108,10 +108,13 @@ struct Testbed {
     std::vector<DatabaseServer*> db_ptrs;
     for (auto& d : dbs) db_ptrs.push_back(d.get());
 
+    // One immutable cache ring for the whole tier, not one per server.
+    const std::shared_ptr<const shard::Ring> cache_ring =
+        MakeCacheRing(cache_ptrs.size());
     for (auto* node : web_nodes) {
       webs.push_back(std::make_unique<WebServer>(
           node, &fabric, cache_ptrs, db_ptrs, config.web_config,
-          rng.Next()));
+          rng.Next(), cache_ring));
     }
 
     net::TcpConfig client_tcp;  // tuned clients: port reuse, no TIME_WAIT
@@ -722,7 +725,8 @@ OpenLoopReport WebExperiment::MeasureOpenLoop(
                         .db_delay = {},
                         .cache_delay = {},
                         .total_delay = {},
-                        .client_delay = {}};
+                        .client_delay = {},
+                        .intended_delay = {}};
 
   Joules epoch_joules = 0;
   tb.sched.ScheduleAt(window.warmup_end, [&] {

@@ -1,6 +1,7 @@
 #include "web/web_server.h"
 
 #include <cassert>
+#include <numeric>
 
 #include "obs/energy.h"
 #include "obs/tracer.h"
@@ -11,14 +12,24 @@ namespace {
 constexpr Bytes kErrorReplyBytes = 320;  // terse 500 page
 }  // namespace
 
+std::shared_ptr<const shard::Ring> MakeCacheRing(std::size_t cache_count) {
+  std::vector<int> ids(cache_count);
+  std::iota(ids.begin(), ids.end(), 0);
+  auto ring = std::make_shared<shard::Ring>(shard::RingConfig{});
+  ring->AddNodes(ids);
+  return ring;
+}
+
 WebServer::WebServer(hw::ServerNode* node, net::Fabric* fabric,
                      std::vector<CacheServer*> caches,
                      std::vector<DatabaseServer*> databases,
-                     const WebServerConfig& config, std::uint64_t seed)
+                     const WebServerConfig& config, std::uint64_t seed,
+                     std::shared_ptr<const shard::Ring> cache_ring)
     : node_(node),
       fabric_(fabric),
       caches_(std::move(caches)),
-      cache_ring_(shard::RingConfig{}),
+      cache_ring_(cache_ring != nullptr ? std::move(cache_ring)
+                                        : MakeCacheRing(caches_.size())),
       databases_(std::move(databases)),
       config_(config),
       tcp_host_(fabric, node->id(), config.tcp),
@@ -26,9 +37,7 @@ WebServer::WebServer(hw::ServerNode* node, net::Fabric* fabric,
       accept_serial_(&node->scheduler(), 1),
       rng_(seed) {
   assert(config.service_efficiency > 0);
-  for (std::size_t i = 0; i < caches_.size(); ++i) {
-    cache_ring_.AddNode(static_cast<int>(i));
-  }
+  assert(cache_ring_->node_count() == static_cast<int>(caches_.size()));
 }
 
 void WebServer::ResetStats() {
@@ -103,7 +112,7 @@ sim::Task<CallResult> WebServer::ServeCall(int client_node_id,
       // The request's key hash picks the shard; its primary owner is the
       // cache holding the entry.
       CacheServer* cache = caches_[static_cast<std::size_t>(
-          cache_ring_.PrimaryOf(cache_ring_.ShardOf(rng_.Next())))];
+          cache_ring_->PrimaryOf(cache_ring_->ShardOf(rng_.Next())))];
       const SimTime t0 = sched.now();
       {
         obs::CausalSpan fetch(serve.handle(), "cache",

@@ -64,12 +64,22 @@ struct CallResult {
   Bytes reply_bytes = 0;
 };
 
+// Ketama map over cache indices 0..cache_count-1, built in one pass: hot
+// keys pin to a cache the way a memcached client's consistent hashing
+// does (the same shard map the kv/shard tiers use). Immutable once
+// built, so one ring serves every web server of a testbed.
+std::shared_ptr<const shard::Ring> MakeCacheRing(std::size_t cache_count);
+
 class WebServer {
  public:
+  // `cache_ring` must map onto `caches` (see MakeCacheRing); a testbed
+  // builds it once and shares it between its servers. Null builds a
+  // private ring over `caches`.
   WebServer(hw::ServerNode* node, net::Fabric* fabric,
             std::vector<CacheServer*> caches,
             std::vector<DatabaseServer*> databases,
-            const WebServerConfig& config, std::uint64_t seed);
+            const WebServerConfig& config, std::uint64_t seed,
+            std::shared_ptr<const shard::Ring> cache_ring = nullptr);
 
   WebServer(const WebServer&) = delete;
   WebServer& operator=(const WebServer&) = delete;
@@ -120,10 +130,7 @@ class WebServer {
   hw::ServerNode* node_;
   net::Fabric* fabric_;
   std::vector<CacheServer*> caches_;
-  // Ketama map over cache indices: hot keys pin to a cache the way a
-  // memcached client's consistent hashing does, instead of the old
-  // uniform per-request draw (same shard map the kv/shard tiers use).
-  shard::Ring cache_ring_;
+  std::shared_ptr<const shard::Ring> cache_ring_;
   std::vector<DatabaseServer*> databases_;
   WebServerConfig config_;
   obs::EnergyAttributor* energy_ = nullptr;

@@ -2,11 +2,16 @@
 // insertion-order independence (the "same seed + same node set =>
 // byte-identical shard map" contract), ownership invariants, and the
 // consistent-hashing churn bound — one node joining or leaving an
-// N-node ring moves only ~K/N of the K shards.
+// N-node ring moves only ~K/N of the K shards. Randomized properties pin
+// the batch build (AddNodes) and membership churn against a naive
+// reference walk of the ring.
 #include "shard/ring.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -141,6 +146,144 @@ TEST(ShardRingTest, BalanceIsReasonable) {
     EXPECT_GE(owned[static_cast<std::size_t>(n)], 10) << "node " << n;
     EXPECT_LE(owned[static_cast<std::size_t>(n)], 96) << "node " << n;
   }
+}
+
+// --- randomized properties against a naive reference ----------------------
+
+// The ring's point placement, restated: splitmix64 over (salt, node,
+// replica).
+std::uint64_t RefMix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t RefPointHash(std::uint64_t salt, int node, int replica) {
+  return RefMix64(salt ^ RefMix64(static_cast<std::uint64_t>(node) *
+                                      0x100000001b3ULL +
+                                  static_cast<std::uint64_t>(replica)));
+}
+
+// Naive reference walk: order every point by its clockwise distance from
+// the shard's start position (node id breaks ties), then keep each
+// member's first appearance.
+std::vector<int> RefPreference(const RingConfig& config,
+                               const std::vector<int>& members, int shard) {
+  int log2 = 0;
+  while ((1 << log2) < config.shards) ++log2;
+  const std::uint64_t position = static_cast<std::uint64_t>(shard)
+                                 << (64 - log2);
+  std::vector<std::pair<std::uint64_t, int>> by_distance;
+  for (int node : members) {
+    for (int r = 0; r < config.vnodes_per_node; ++r) {
+      by_distance.emplace_back(RefPointHash(config.salt, node, r) - position,
+                               node);
+    }
+  }
+  std::sort(by_distance.begin(), by_distance.end());
+  std::vector<int> pref;
+  for (const auto& [distance, node] : by_distance) {
+    if (std::find(pref.begin(), pref.end(), node) == pref.end()) {
+      pref.push_back(node);
+    }
+  }
+  return pref;
+}
+
+void ExpectMatchesReference(const Ring& ring, const std::vector<int>& members) {
+  ASSERT_EQ(ring.members(), members);
+  for (int s = 0; s < ring.shards(); ++s) {
+    ASSERT_EQ(ring.Preference(s), RefPreference(ring.config(), members, s))
+        << "shard " << s;
+  }
+}
+
+RingConfig RandomConfig(std::mt19937_64& rng) {
+  static constexpr int kShards[] = {16, 64, 256};
+  RingConfig config;
+  config.vnodes_per_node = 1 + static_cast<int>(rng() % 64);
+  config.shards = kShards[rng() % 3];
+  config.replication = 1 + static_cast<int>(rng() % 3);
+  config.salt = rng();
+  return config;
+}
+
+// A random set of distinct ids below 64, in random order.
+std::vector<int> RandomMembers(std::mt19937_64& rng) {
+  std::vector<int> ids(64);
+  for (int i = 0; i < 64; ++i) ids[static_cast<std::size_t>(i)] = i;
+  std::shuffle(ids.begin(), ids.end(), rng);
+  ids.resize(static_cast<std::size_t>(rng() % 25));
+  return ids;
+}
+
+TEST(ShardRingPropertyTest, BatchAddMatchesSequentialAddAndReference) {
+  std::mt19937_64 rng(20160901);
+  for (int trial = 0; trial < 40; ++trial) {
+    const RingConfig config = RandomConfig(rng);
+    const std::vector<int> batch = RandomMembers(rng);
+    Ring batched(config);
+    batched.AddNodes(batch);
+    const Ring sequential = MakeRing(config, batch);
+    std::vector<int> sorted = batch;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(batched.members(), sequential.members()) << "trial " << trial;
+    ASSERT_TRUE(SameMap(batched, sequential)) << "trial " << trial;
+    ExpectMatchesReference(batched, sorted);
+  }
+}
+
+TEST(ShardRingPropertyTest, BatchesCompose) {
+  // Two batches land on the same map as one batch of their union.
+  std::mt19937_64 rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    const RingConfig config = RandomConfig(rng);
+    const std::vector<int> all = RandomMembers(rng);
+    const std::size_t split = all.empty() ? 0 : rng() % all.size();
+    Ring two(config);
+    two.AddNodes({all.begin(), all.begin() + static_cast<long>(split)});
+    two.AddNodes({all.begin() + static_cast<long>(split), all.end()});
+    Ring one(config);
+    one.AddNodes(all);
+    ASSERT_EQ(two.members(), one.members());
+    ASSERT_TRUE(SameMap(two, one)) << "trial " << trial;
+  }
+}
+
+TEST(ShardRingPropertyTest, ChurnMatchesFreshRing) {
+  std::mt19937_64 rng(424242);
+  for (int trial = 0; trial < 8; ++trial) {
+    const RingConfig config = RandomConfig(rng);
+    Ring churned(config);
+    std::set<int> model;
+    for (int step = 0; step < 30; ++step) {
+      const int id = static_cast<int>(rng() % 24);
+      if (model.count(id) != 0) {
+        churned.RemoveNode(id);
+        model.erase(id);
+      } else {
+        churned.AddNode(id);
+        model.insert(id);
+      }
+      const std::vector<int> members(model.begin(), model.end());
+      Ring fresh(config);
+      fresh.AddNodes(members);
+      ASSERT_TRUE(SameMap(churned, fresh))
+          << "trial " << trial << " step " << step;
+      ExpectMatchesReference(churned, members);
+    }
+  }
+}
+
+TEST(ShardRingPropertyTest, AddNodesRebuildsOnce) {
+  const std::uint64_t before = Ring::rebuilds();
+  Ring ring(RingConfig{});
+  ring.AddNodes({5, 3, 9, 0, 1});
+  EXPECT_EQ(Ring::rebuilds() - before, 1u);
+  ring.AddNode(2);
+  ring.RemoveNode(9);
+  EXPECT_EQ(Ring::rebuilds() - before, 3u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "shard/router.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -121,6 +122,17 @@ TEST(ShardRouterTest, DirtyWritesCountOnlyWhileMigrating) {
   // Post-commit writes land on the new owner; the dirty counter is dead.
   router.OnWrite(shard);
   EXPECT_EQ(router.TakeDirty(shard), 0);
+}
+
+TEST(ShardRouterTest, ConstructionRebuildsTheRingOnce) {
+  // Complexity sentinel: seeding a router over a whole cluster costs one
+  // ring rebuild, not one per node.
+  std::vector<int> nodes(36);
+  for (int i = 0; i < 36; ++i) nodes[static_cast<std::size_t>(i)] = i;
+  const std::uint64_t before = Ring::rebuilds();
+  Router router(TestConfig(2), nodes);
+  EXPECT_EQ(Ring::rebuilds() - before, 1u);
+  EXPECT_EQ(router.ring().node_count(), 36);
 }
 
 }  // namespace

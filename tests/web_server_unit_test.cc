@@ -1,11 +1,12 @@
 // Unit tests for the web-server model itself (below the experiment
 // harness): worker-pool overload, accept serialisation, reply-size
-// dependent costs, and stats bookkeeping.
+// dependent costs, stats bookkeeping, and the shared cache ring.
 #include "web/web_server.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "hw/profiles.h"
 #include "sim/process.h"
@@ -171,6 +172,64 @@ TEST_F(WebServerUnitTest, FailedFlagIsSticky) {
   EXPECT_TRUE(web->failed());
   web->set_failed(false);
   EXPECT_FALSE(web->failed());
+}
+
+// Index of the cache each of `calls` back-to-back cache hits lands on.
+std::vector<int> CachePicks(sim::Scheduler& sched, WebServer& web,
+                            const std::vector<CacheServer*>& caches,
+                            int calls) {
+  std::vector<int> picks;
+  for (int i = 0; i < calls; ++i) {
+    std::vector<std::int64_t> before;
+    for (CacheServer* cache : caches) before.push_back(cache->hits_served());
+    CallResult result;
+    sim::Spawn(sched, CallOnce(web, RequestSpec{false, KB(1.5), true},
+                               &result));
+    sched.Run();
+    for (std::size_t c = 0; c < caches.size(); ++c) {
+      if (caches[c]->hits_served() != before[c]) {
+        picks.push_back(static_cast<int>(c));
+      }
+    }
+  }
+  return picks;
+}
+
+TEST_F(WebServerUnitTest, SharedRingPicksTheSameCachesAsAPrivateRing) {
+  std::vector<std::unique_ptr<hw::ServerNode>> nodes;
+  std::vector<std::unique_ptr<CacheServer>> owned_caches;
+  std::vector<CacheServer*> caches;
+  auto add_node = [&](const hw::HardwareProfile& profile) {
+    nodes.push_back(std::make_unique<hw::ServerNode>(
+        &sched_, profile, static_cast<int>(4 + nodes.size())));
+    fabric_.AddNode(nodes.back().get(), "edison-room");
+    return nodes.back().get();
+  };
+  for (int i = 0; i < 6; ++i) {
+    owned_caches.push_back(std::make_unique<CacheServer>(
+        add_node(hw::EdisonProfile()), &fabric_, BackendCosts{}));
+    caches.push_back(owned_caches.back().get());
+  }
+  // Server 0 builds its own ring; servers 1 and 2 share one. All three
+  // draw from the same seed.
+  const std::shared_ptr<const shard::Ring> shared =
+      MakeCacheRing(caches.size());
+  std::vector<std::unique_ptr<WebServer>> webs;
+  for (int i = 0; i < 3; ++i) {
+    webs.push_back(std::make_unique<WebServer>(
+        add_node(hw::EdisonProfile()), &fabric_, caches,
+        std::vector<DatabaseServer*>{db_.get()}, EdisonWebConfig(), 11,
+        i == 0 ? nullptr : shared));
+  }
+  EXPECT_EQ(shared.use_count(), 3);
+
+  const std::vector<int> private_picks = CachePicks(sched_, *webs[0], caches,
+                                                    60);
+  ASSERT_EQ(private_picks.size(), 60u);
+  EXPECT_GT(std::set<int>(private_picks.begin(), private_picks.end()).size(),
+            1u);
+  EXPECT_EQ(CachePicks(sched_, *webs[1], caches, 60), private_picks);
+  EXPECT_EQ(CachePicks(sched_, *webs[2], caches, 60), private_picks);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "shard/ring.h"
 #include "web/workload.h"
 
 namespace wimpy::web {
@@ -106,6 +109,18 @@ TEST(WebExperimentTest, EdisonFasterResponseAtLowLoadThanUnderStress) {
   const LevelReport stressed =
       exp.MeasureClosedLoop(LightMix(), 512, 8, Seconds(2), Seconds(8));
   EXPECT_GT(stressed.mean_response, light.mean_response);
+}
+
+TEST(WebExperimentTest, TestbedBuildsOneCacheRing) {
+  // Complexity sentinel at the 100k-connection geometry (240 web servers,
+  // 110 caches): a set-up-only call builds the cache ring exactly once,
+  // not once per web server or once per cache.
+  WebTestbedConfig config = EdisonWebTestbed(240, 110);
+  config.client_machines = 80;
+  WebExperiment exp(config);
+  const std::uint64_t before = shard::Ring::rebuilds();
+  exp.MeasureClosedLoop(HeavyMix(), 10000, 2, Seconds(0), Seconds(0.001));
+  EXPECT_EQ(shard::Ring::rebuilds() - before, 1u);
 }
 
 }  // namespace

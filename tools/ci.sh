@@ -10,7 +10,8 @@
 #   2. WIMPY_ASAN smoke — configures/builds a -fsanitize=address,undefined
 #      tree and runs the model-layer tests that exercise the pooled
 #      steady-state request path (coroutine frame pool, ring buffers,
-#      interned-id fabric tables — docs/scale.md). The frame pool disables
+#      interned-id fabric tables — docs/scale.md) and the shared cache
+#      ring. The frame pool disables
 #      itself under ASan so every coroutine frame goes through the real
 #      allocator and gets poisoned/unpoisoned individually.
 #   3. tools/check_trace.sh — obs export validation: trace-event JSON
@@ -36,7 +37,7 @@ TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
 TSAN_TESTS="${TSAN_TESTS:-replication|profiles_concurrency}"
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 # Exact names: only the binaries the smoke build compiles.
-ASAN_TESTS="${ASAN_TESTS:-^(sim_scheduler_test|sim_process_test|sim_semaphore_test|sim_fair_share_test|net_fabric_test|net_tcp_test|web_service_test|kv_store_test)\$}"
+ASAN_TESTS="${ASAN_TESTS:-^(sim_scheduler_test|sim_process_test|sim_semaphore_test|sim_fair_share_test|net_fabric_test|net_tcp_test|web_service_test|kv_store_test|shard_ring_test|shard_router_test|web_server_unit_test)\$}"
 
 if [[ "${SKIP_TSAN:-0}" == "0" ]]; then
   echo "== WIMPY_TSAN smoke (SKIP_TSAN=1 to skip) =="
@@ -63,11 +64,13 @@ if [[ "${SKIP_ASAN:-0}" == "0" ]]; then
   fi
   # The model-layer tests that cover the pooled steady-state request path
   # (scheduler, coroutine frames, semaphores, fair-share, fabric, TCP,
-  # web serve, KV store) — the code where pooling bugs would hide.
+  # web serve, KV store) — the code where pooling bugs would hide — plus
+  # the ring, router and web-server tests that cover the cache ring
+  # shared between a testbed's web servers.
   cmake --build "${ASAN_BUILD_DIR}" -j "$(nproc)" --target \
     sim_scheduler_test sim_process_test sim_semaphore_test \
     sim_fair_share_test net_fabric_test net_tcp_test web_service_test \
-    kv_store_test
+    kv_store_test shard_ring_test shard_router_test web_server_unit_test
   (cd "${ASAN_BUILD_DIR}" && ctest -R "${ASAN_TESTS}" --output-on-failure)
   echo "ASan smoke OK"
 else
