@@ -1,7 +1,7 @@
 // End-to-end macro benchmark: whole-replication throughput of the model
 // layer at large N (docs/scale.md). Where bench_engine_micro measures the
 // scheduler in isolation, this drives the full web and KV testbeds —
-// fabric, TCP, serve path, metrics — at N ∈ {10k, 100k} simulated
+// fabric, TCP, serve path, metrics — at N ∈ {10k, 30k, 100k} simulated
 // connections (web closed-loop) or queries (KV open-loop) and reports
 // whole-replication wall-clock (items_per_second = replications per wall
 // second), the number the ROADMAP's million-user scale-out item needs to
@@ -14,7 +14,7 @@
 // BENCH_macro.json with the same best-of-repetitions, host-normalized
 // comparison as the engine suite. Peak RSS (VmHWM) is recorded per entry;
 // it is monotonic across the process, so cells run in ascending-N order
-// and the first 100k cell's value is the honest peak for that geometry.
+// and each N's first cell's value is the honest peak for that geometry.
 //
 // --determinism prints a golden-trace prefix + final stats instead (no
 // wall-clock, no RSS): the large-N determinism check in
@@ -46,7 +46,9 @@ using namespace wimpy;
 
 struct Flags {
   std::string workload = "all";  // web | kv | all
-  std::vector<int> connections = {10000, 100000};
+  // 30k sits between the two ends so the per-event cost curve shows where
+  // growth turns superlinear.
+  std::vector<int> connections = {10000, 30000, 100000};
   int reps = 3;
   int threads = 1;
   std::uint64_t seed = 0x5EED2016;

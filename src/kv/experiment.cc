@@ -92,6 +92,12 @@ struct KvTestbed {
     }
   }
 
+  // The attributor outlives the testbed: settle it while the scheduler
+  // and nodes still exist.
+  ~KvTestbed() {
+    if (energy != nullptr) energy->Detach();
+  }
+
   // 1-in-N query trace sampling, mirroring the web testbed: a sampled
   // query gets a root trace handle (fresh trace id, its own track); the
   // counter is part of the testbed, not the random streams, so tracing

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -14,15 +15,26 @@ namespace {
 // Loopback cost: in-kernel copy, effectively instant at this fidelity.
 constexpr Duration kLoopbackLatency = Microseconds(20);
 
+// The causal span of a traced transfer. Both tasks start lazily, so the
+// span begins when the awaiter starts this wrapper, right before the
+// transfer itself; `trace` is a copy, not a reference into the awaiter.
+sim::Task<void> Spanned(sim::Task<void> transfer, obs::TraceHandle trace,
+                        const char* name, Bytes bytes) {
+  obs::CausalSpan span(trace, name, obs::Category::kNet, bytes);
+  co_await std::move(transfer);
+}
+
+}  // namespace
+
 // Awaits service of the same demand on every collected segment
 // concurrently; the slowest segment's completion resumes the awaiting
 // coroutine. Lives in the Transfer coroutine frame across the suspension,
 // so the join state needs no heap and no spawned helper processes.
 // Capacity: two endpoint NICs plus up to kMaxPathHops aggregate links.
-struct SegmentJoin {
+struct Fabric::SegmentJoin {
   std::array<sim::FairShareServer*, 2 + Fabric::kMaxPathHops> segments;
-  int count = 0;
   double demand = 0;
+  int count = 0;
   std::uint32_t remaining = 0;
 
   void Add(sim::FairShareServer* s) { segments[count++] = s; }
@@ -36,8 +48,6 @@ struct SegmentJoin {
   }
   void await_resume() const {}
 };
-
-}  // namespace
 
 Fabric::Fabric(sim::Scheduler* sched) : sched_(sched) {
   assert(sched != nullptr);
@@ -230,12 +240,9 @@ Duration Fabric::Latency(int src_id, int dst_id) const {
   return latency;
 }
 
-sim::Task<void> Fabric::Transfer(int src_id, int dst_id, Bytes bytes) {
-  if (bytes <= 0) co_return;
-  if (src_id == dst_id) {
-    co_await sim::Delay(*sched_, kLoopbackLatency);
-    co_return;
-  }
+Duration Fabric::Route(int src_id, int dst_id, Bytes bytes,
+                       SegmentJoin* join) {
+  if (src_id == dst_id) return kLoopbackLatency;
   const Endpoint& src = Lookup(src_id);
   const Endpoint& dst = Lookup(dst_id);
   src.node->nic().AddBytesSent(bytes);
@@ -248,32 +255,39 @@ sim::Task<void> Fabric::Transfer(int src_id, int dst_id, Bytes bytes) {
   // fair-shared flows without per-chunk simulation. At most two NIC
   // channels plus kMaxPathHops aggregate links — joined inline, so the
   // steady-state path allocates nothing here.
-  SegmentJoin join;
-  join.demand = static_cast<double>(bytes);
-  join.Add(&src.node->nic().tx());
+  join->demand = static_cast<double>(bytes);
+  join->Add(&src.node->nic().tx());
   if (src.group != dst.group) {
     const std::size_t idx =
         static_cast<std::size_t>(src.group) * group_names_.size() +
         static_cast<std::size_t>(dst.group);
     const PathEntry& path = path_table_[idx];
     if (path.nseg > 0) {
-      for (int i = 0; i < path.nseg; ++i) join.Add(path.segs[i]);
+      for (int i = 0; i < path.nseg; ++i) join->Add(path.segs[i]);
       latency += path.latency;
     } else if (channels_[idx] != nullptr) {
-      join.Add(channels_[idx]);
+      join->Add(channels_[idx]);
       latency += link_latencies_[idx];
     }
   }
-  join.Add(&dst.node->nic().rx());
-  co_await sim::Delay(*sched_, latency);
-  co_await join;
+  join->Add(&dst.node->nic().rx());
+  return latency;
+}
+
+sim::Task<void> Fabric::Transfer(int src_id, int dst_id, Bytes bytes) {
+  if (bytes <= 0) co_return;
+  // Every local lives in the frame for the whole flow, so the routing
+  // happens in Route and the frame keeps only the join.
+  SegmentJoin join;
+  co_await sim::Delay(*sched_, Route(src_id, dst_id, bytes, &join));
+  co_await join;  // no segments (loopback): completes without suspending
 }
 
 sim::Task<void> Fabric::Transfer(int src_id, int dst_id, Bytes bytes,
                                  const obs::TraceHandle& trace,
                                  const char* name) {
-  obs::CausalSpan span(trace, name, obs::Category::kNet, bytes);
-  co_await Transfer(src_id, dst_id, bytes);
+  if (!trace) return Transfer(src_id, dst_id, bytes);
+  return Spanned(Transfer(src_id, dst_id, bytes), trace, name, bytes);
 }
 
 sim::Task<void> Fabric::RoundTrip(int src_id, int dst_id) {

@@ -95,7 +95,10 @@ class Fabric {
 
   // Traced transfer: same semantics, wrapped in a causal child span
   // named `name` (category kNet, arg = bytes) under `trace` — the
-  // message "carries the context header". Null handle = plain Transfer.
+  // message "carries the context header". Not a coroutine: a null handle
+  // returns the plain Transfer task itself, so an untraced message costs
+  // no wrapper frame; a traced one gets a wrapper holding a copy of
+  // `trace`.
   sim::Task<void> Transfer(int src_id, int dst_id, Bytes bytes,
                            const obs::TraceHandle& trace, const char* name);
 
@@ -150,6 +153,14 @@ class Fabric {
     int nseg = 0;
     Duration latency = 0;
   };
+
+  // Flow-completion join over the segments of one transfer (fabric.cc).
+  struct SegmentJoin;
+
+  // Books a src->dst flow of `bytes`: counts them on both NICs, adds the
+  // flow's segments to `join` and returns its propagation latency. A
+  // loopback flow adds no segment and pays kLoopbackLatency.
+  Duration Route(int src_id, int dst_id, Bytes bytes, SegmentJoin* join);
 
   // Returns the dense id for a group name, interning it on first use.
   int InternGroup(const std::string& name);

@@ -1,5 +1,8 @@
 #include "obs/energy.h"
 
+#include <new>
+
+#include "sim/frame_pool.h"
 #include "sim/scheduler.h"
 
 namespace wimpy::obs {
@@ -93,6 +96,24 @@ EnergyLedger EnergyAttributor::TakeLedger() {
   row_index_.clear();
   for (auto& [id, node] : nodes_) node.resident_rows.clear();
   return out;
+}
+
+void EnergyAttributor::Detach() {
+  AccrueAll();
+  nodes_.clear();
+  sched_ = nullptr;
+}
+
+void ScopedResidency::Enter(EnergyAttributor* attributor, int node_id,
+                            const TraceHandle& handle, const char* name) {
+  state_ = ::new (sim::PoolAlloc(sizeof(State)))
+      State{attributor, node_id, handle};
+  attributor->SpanEnter(node_id, state_->handle, name);
+}
+
+void ScopedResidency::Leave() {
+  state_->attributor->SpanLeave(state_->node_id, state_->handle);
+  sim::PoolFree(state_, sizeof(State));
 }
 
 }  // namespace wimpy::obs

@@ -16,9 +16,10 @@
 // order, so ledgers — like traces — are byte-identical at any --threads
 // once per-replication attributors are merged in index order.
 //
-// Ownership: the attributor borrows nothing after the subscription
-// closure is installed; `hw::ServerNode::ObserveEnergy` wires the
-// closure so layering stays one-way (obs knows no hw types).
+// Ownership: the attributor borrows the observed nodes' scheduler until
+// Detach(), which a testbed calls as it is torn down; nothing else.
+// `hw::ServerNode::ObserveEnergy` wires the subscription closure so
+// layering stays one-way (obs knows no hw types).
 #ifndef WIMPY_OBS_ENERGY_H_
 #define WIMPY_OBS_ENERGY_H_
 
@@ -93,6 +94,11 @@ class EnergyAttributor {
   // zeroing the accumulators but keeping node subscriptions live.
   EnergyLedger TakeLedger();
 
+  // Settles all nodes at the current time, then forgets them and their
+  // scheduler. A testbed calls this as it is torn down, so a ledger
+  // taken after the experiment returns reads no dead scheduler.
+  void Detach();
+
  private:
   struct NodeState {
     Watts watts = 0;
@@ -114,29 +120,38 @@ class EnergyAttributor {
 // RAII residency: enters on construction, leaves on destruction. No-op
 // for a null handle or an unobserved node — stack it right next to the
 // CausalSpan whose work runs on `node_id`.
+//
+// Like CausalSpan, the object is one pointer: with a null attributor or a
+// null handle it stays null and the destructor is one branch; otherwise
+// the attributor, node and handle live in one `sim::PoolAlloc` block.
 class ScopedResidency {
  public:
   ScopedResidency() = default;
   ScopedResidency(EnergyAttributor* attributor, int node_id,
-                  const TraceHandle& handle, const char* name)
-      : attributor_(attributor), node_id_(node_id), handle_(handle) {
-    if (attributor_ != nullptr) {
-      attributor_->SpanEnter(node_id_, handle_, name);
+                  const TraceHandle& handle, const char* name) {
+    if (attributor != nullptr && handle) {
+      Enter(attributor, node_id, handle, name);
     }
   }
   ~ScopedResidency() {
-    if (attributor_ != nullptr) {
-      attributor_->SpanLeave(node_id_, handle_);
-    }
+    if (state_ != nullptr) Leave();
   }
 
   ScopedResidency(const ScopedResidency&) = delete;
   ScopedResidency& operator=(const ScopedResidency&) = delete;
 
  private:
-  EnergyAttributor* attributor_ = nullptr;
-  int node_id_ = 0;
-  TraceHandle handle_;
+  struct State {
+    EnergyAttributor* attributor;
+    int node_id;
+    TraceHandle handle;
+  };
+
+  void Enter(EnergyAttributor* attributor, int node_id,
+             const TraceHandle& handle, const char* name);
+  void Leave();
+
+  State* state_ = nullptr;
 };
 
 }  // namespace wimpy::obs

@@ -1,7 +1,10 @@
 #include "obs/tracer.h"
 
 #include <algorithm>
+#include <new>
 #include <type_traits>
+
+#include "sim/frame_pool.h"
 
 namespace wimpy::obs {
 
@@ -135,6 +138,31 @@ TraceLog Tracer::TakeLog() {
   flat_cache_.clear();
   open_spans_.clear();
   return log;
+}
+
+void CausalSpan::Begin(const TraceHandle& parent, std::int32_t track,
+                       const char* name, Category category,
+                       std::int64_t arg) {
+  state_ = ::new (sim::PoolAlloc(sizeof(State)))
+      State{parent, name, arg, category};
+  TraceHandle& h = state_->handle;
+  h.track = track;
+  h.ctx.parent_id = parent.ctx.span_id;
+  h.ctx.span_id = h.tracer->NewSpanId();
+  h.tracer->BeginSpanAt(h.sched->now(), name, category, h.track, h.ctx, arg);
+}
+
+void CausalSpan::End() {
+  const State& s = *state_;
+  s.handle.tracer->EndSpanAt(s.handle.sched->now(), s.name, s.category,
+                             s.handle.track, s.handle.ctx, s.arg);
+  sim::PoolFree(state_, sizeof(State));
+}
+
+void CausalSpan::RecordInstant(const char* name, std::int64_t arg) {
+  const TraceHandle& h = state_->handle;
+  h.tracer->InstantAt(h.sched->now(), name, state_->category, h.track,
+                      TraceContext{h.ctx.trace_id, 0, h.ctx.span_id}, arg);
 }
 
 }  // namespace wimpy::obs

@@ -285,9 +285,13 @@ class ScopedSpan {
 // RAII *causal* span: allocates a span id under `parent`'s context,
 // begins on construction, ends on destruction. `handle()` is the context
 // to propagate into callees (its `ctx.span_id` is this span, so children
-// constructed from it nest correctly). With a null-tracer parent the
-// whole object is a no-op and `handle()` stays null — one branch per
-// layer, zero allocations.
+// constructed from it nest correctly).
+//
+// The object is one pointer. An off span (null-tracer parent) leaves it
+// null: `handle()` is the shared `kNullTraceHandle`, and `Instant()` and
+// the destructor are one branch each — no allocation, so an untraced
+// request pays nothing per layer. An on span keeps its handle, name,
+// category and arg in one `sim::PoolAlloc` block, freed at End.
 class CausalSpan {
  public:
   CausalSpan() = default;
@@ -299,41 +303,40 @@ class CausalSpan {
   // (e.g. MapReduce task attempts under the job span). The exporter
   // renders a Perfetto flow arrow when parent and child tracks differ.
   CausalSpan(const TraceHandle& parent, std::int32_t track,
-             const char* name, Category category, std::int64_t arg = 0)
-      : h_(parent), name_(name), category_(category), arg_(arg) {
-    if (h_.tracer == nullptr) return;
-    h_.track = track;
-    h_.ctx.parent_id = parent.ctx.span_id;
-    h_.ctx.span_id = h_.tracer->NewSpanId();
-    h_.tracer->BeginSpanAt(h_.sched->now(), name_, category_, h_.track,
-                           h_.ctx, arg_);
+             const char* name, Category category, std::int64_t arg = 0) {
+    if (parent.tracer != nullptr) Begin(parent, track, name, category, arg);
   }
   ~CausalSpan() {
-    if (h_.tracer != nullptr) {
-      h_.tracer->EndSpanAt(h_.sched->now(), name_, category_, h_.track,
-                           h_.ctx, arg_);
-    }
+    if (state_ != nullptr) End();
   }
 
   CausalSpan(const CausalSpan&) = delete;
   CausalSpan& operator=(const CausalSpan&) = delete;
 
   // Context for callees: ctx.span_id is this span.
-  const TraceHandle& handle() const { return h_; }
+  const TraceHandle& handle() const {
+    return state_ != nullptr ? state_->handle : kNullTraceHandle;
+  }
 
   // Point event inside this span (e.g. "http_500", "syn_retry").
   void Instant(const char* name, std::int64_t arg = 0) {
-    if (h_.tracer == nullptr) return;
-    h_.tracer->InstantAt(
-        h_.sched->now(), name, category_, h_.track,
-        TraceContext{h_.ctx.trace_id, 0, h_.ctx.span_id}, arg);
+    if (state_ != nullptr) RecordInstant(name, arg);
   }
 
  private:
-  TraceHandle h_;
-  const char* name_ = "";
-  Category category_ = Category::kApp;
-  std::int64_t arg_ = 0;
+  struct State {
+    TraceHandle handle;
+    const char* name;
+    std::int64_t arg;
+    Category category;
+  };
+
+  void Begin(const TraceHandle& parent, std::int32_t track, const char* name,
+             Category category, std::int64_t arg);
+  void End();
+  void RecordInstant(const char* name, std::int64_t arg);
+
+  State* state_ = nullptr;
 };
 
 }  // namespace wimpy::obs

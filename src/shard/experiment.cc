@@ -125,6 +125,12 @@ struct ShardTestbed {
     }
   }
 
+  // The attributor outlives the testbed: settle it while the scheduler
+  // and nodes still exist.
+  ~ShardTestbed() {
+    if (energy != nullptr) energy->Detach();
+  }
+
   int StoreNodeId(int store_index) const {
     return stores[static_cast<std::size_t>(store_index)]->node().id();
   }

@@ -19,13 +19,17 @@
 //    threads) simply migrates to that thread's cache.
 //  * Memory is retained until thread exit — the high-water set of a
 //    replication, reused by every subsequent replication on the worker.
+//    PoolHighWaterBytes() reads that set's size: a diagnostic counter
+//    (one add per alloc, one subtract per free), not a knob.
 //
 // Under ASan the pool is compiled out (plain new/delete) so recycling
 // does not mask use-after-free of coroutine frames.
 #ifndef WIMPY_SIM_FRAME_POOL_H_
 #define WIMPY_SIM_FRAME_POOL_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 
 #if defined(__has_feature)
@@ -46,6 +50,7 @@ inline void* PoolAlloc(std::size_t bytes) {
 inline void PoolFree(void* p, std::size_t /*bytes*/) noexcept {
   ::operator delete(p);
 }
+inline std::int64_t PoolHighWaterBytes() { return 0; }
 
 #else
 
@@ -61,6 +66,11 @@ struct FreeNode {
 
 struct ThreadCache {
   FreeNode* buckets[kBuckets] = {};
+  // Bucket-rounded bytes handed out and not yet returned to this cache
+  // (a block freed on a foreign thread counts there, so the figure is
+  // signed), and its peak since the thread started.
+  std::int64_t in_use_bytes = 0;
+  std::int64_t high_water_bytes = 0;
   ~ThreadCache() {
     for (FreeNode* node : buckets) {
       while (node != nullptr) {
@@ -88,6 +98,10 @@ inline void* PoolAlloc(std::size_t bytes) {
   if (bytes > internal_pool::kMaxPooled) return ::operator new(bytes);
   const std::size_t b = internal_pool::BucketFor(bytes);
   auto& cache = internal_pool::Cache();
+  cache.in_use_bytes +=
+      static_cast<std::int64_t>((b + 1) * internal_pool::kGranularity);
+  cache.high_water_bytes =
+      std::max(cache.high_water_bytes, cache.in_use_bytes);
   if (internal_pool::FreeNode* node = cache.buckets[b]) {
     cache.buckets[b] = node->next;
     return node;
@@ -105,8 +119,16 @@ inline void PoolFree(void* p, std::size_t bytes) noexcept {
   auto* node = static_cast<internal_pool::FreeNode*>(p);
   auto& cache = internal_pool::Cache();
   const std::size_t b = internal_pool::BucketFor(bytes);
+  cache.in_use_bytes -=
+      static_cast<std::int64_t>((b + 1) * internal_pool::kGranularity);
   node->next = cache.buckets[b];
   cache.buckets[b] = node;
+}
+
+// Peak pooled bytes this thread has had handed out at once: what the
+// pool retains once that peak has passed (0 with the pool off).
+inline std::int64_t PoolHighWaterBytes() {
+  return internal_pool::Cache().high_water_bytes;
 }
 
 #endif  // WIMPY_FRAME_POOL_DISABLED

@@ -162,6 +162,12 @@ struct Testbed {
     }
   }
 
+  // The attributor outlives the testbed: settle it while the scheduler
+  // and nodes still exist.
+  ~Testbed() {
+    if (energy != nullptr) energy->Detach();
+  }
+
   // Probe registration order is fixed (web tier, cache tier, dbs, links,
   // aggregates), so exported column order is deterministic.
   void PublishProbes() {
@@ -250,6 +256,14 @@ struct Testbed {
     return handle;
   }
 
+  // Closed-loop calls between dispatch and reply, and their peak over
+  // the run (LevelReport::peak_calls_in_flight).
+  void CallStarted() {
+    ++calls_in_flight;
+    peak_calls_in_flight = std::max(peak_calls_in_flight, calls_in_flight);
+  }
+  void CallEnded() { --calls_in_flight; }
+
   WebServer* NextWeb() {
     // The balancer health-checks backends: failed servers are skipped.
     for (std::size_t i = 0; i < webs.size(); ++i) {
@@ -281,6 +295,8 @@ struct Testbed {
   std::unique_ptr<obs::NodeHealth> health;
   int trace_sample_every = 64;
   std::uint64_t conn_counter_ = 0;
+  std::int64_t calls_in_flight = 0;
+  std::int64_t peak_calls_in_flight = 0;
   std::size_t next_web_ = 0;
   std::size_t next_client_ = 0;
 };
@@ -334,12 +350,48 @@ SimTime WindowsEnd(const Windows& windows) {
   return end;
 }
 
+// Counts a connection that failed before its first call.
+void RecordFailedConnection(const Windows& windows, SimTime conn_start) {
+  if (RunWindow* w = FindWindow(windows, conn_start)) {
+    ++w->attempts;
+    ++w->errors;
+  }
+}
+
+// Counts one finished closed-loop call. `setup` is the connect delay the
+// call is charged with (the connection's first call only).
+void RecordCall(const Windows& windows, SimTime conn_start,
+                SimTime call_start, SimTime done, const CallResult& result,
+                Duration setup, bool server_failed) {
+  RunWindow* w = FindWindow(windows, call_start);
+  if (w == nullptr) return;
+  ++w->attempts;
+  if (!result.ok || server_failed) {
+    ++w->errors;
+    return;
+  }
+  ++w->ok;
+  // httperf's reported response time amortises connection setup —
+  // including SYN retransmission waits — over the connection's first
+  // reply.
+  w->response.Add(result.total + setup);
+  // Omission annotation: dispatch→done is what httperf sees;
+  // conn-arrival→done charges the call with everything the closed loop
+  // serialised in front of it (connect backoff + the earlier calls on
+  // this connection). Passive — no draws, no goldens.
+  w->dispatch_response.Add(done - call_start);
+  w->dispatch_percentiles.Add(done - call_start);
+  w->conn_intended_response.Add(done - conn_start);
+  w->conn_intended_percentiles.Add(done - conn_start);
+}
+
 // One httperf connection: connect, then `calls` sequential HTTP calls.
+// Every local lives in the coroutine frame for the connection's whole
+// life, so the window bookkeeping happens in the helpers above.
 sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
                                   const WorkloadMix& mix, WebServer* web,
                                   net::TcpHost* client, int calls,
                                   Rng rng) {
-  const SimTime end = WindowsEnd(windows);
   const SimTime conn_start = tb.sched.now();
   // Root span of the connection's trace tree; null for unsampled
   // connections. The handle rides every downstream call — the simulated
@@ -351,53 +403,29 @@ sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
       co_await conn.Connect(/*hold_backlog=*/true, conn_span.handle());
   if (!cres.status.ok()) {
     conn_span.Instant("connect_error", cres.retries);
-    if (RunWindow* w = FindWindow(windows, conn_start)) {
-      ++w->attempts;
-      ++w->errors;
-    }
+    RecordFailedConnection(windows, conn_start);
     co_return;
   }
   // The accept loop must run (and release the backlog slot) even if the
   // server dies in between; the dead-server check follows it.
   co_await web->AcceptWork();
   if (web->failed()) {
-    if (RunWindow* w = FindWindow(windows, conn_start)) {
-      ++w->attempts;
-      ++w->errors;
-    }
+    RecordFailedConnection(windows, conn_start);
     conn.Close();
     co_return;
   }
   for (int i = 0; i < calls; ++i) {
     const SimTime call_start = tb.sched.now();
-    if (call_start >= end) break;
+    if (call_start >= WindowsEnd(windows)) break;
     const RequestSpec spec = mix.Sample(rng);
     obs::CausalSpan call_span(conn_span.handle(), "call",
                               obs::Category::kRequest, i);
+    tb.CallStarted();
     const CallResult result =
         co_await web->ServeCall(client->node_id(), spec, call_span.handle());
-    if (RunWindow* w = FindWindow(windows, call_start)) {
-      ++w->attempts;
-      if (result.ok && !web->failed()) {
-        ++w->ok;
-        // httperf's reported response time amortises connection setup —
-        // including SYN retransmission waits — over the connection's
-        // first reply.
-        w->response.Add(result.total +
-                        (i == 0 ? cres.connect_delay : 0.0));
-        // Omission annotation: dispatch→done is what httperf sees;
-        // conn-arrival→done charges the call with everything the closed
-        // loop serialised in front of it (connect backoff + the earlier
-        // calls on this connection). Passive — no draws, no goldens.
-        const SimTime done = tb.sched.now();
-        w->dispatch_response.Add(done - call_start);
-        w->dispatch_percentiles.Add(done - call_start);
-        w->conn_intended_response.Add(done - conn_start);
-        w->conn_intended_percentiles.Add(done - conn_start);
-      } else {
-        ++w->errors;
-      }
-    }
+    tb.CallEnded();
+    RecordCall(windows, conn_start, call_start, tb.sched.now(), result,
+               i == 0 ? cres.connect_delay : 0.0, web->failed());
     if (web->failed()) break;  // connection reset by the dead server
   }
   conn.Close();
@@ -590,6 +618,7 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
   report.mean_response = window.response.mean();
   report.middle_tier_power = window_joules / measure;
   report.executed_events = tb.sched.executed_events();
+  report.peak_calls_in_flight = tb.peak_calls_in_flight;
 
   auto mean_of = [](const std::vector<cluster::MetricsSample>& samples,
                     auto member) {

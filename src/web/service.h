@@ -100,6 +100,9 @@ struct LevelReport {
   // Engine events the whole replication executed (scheduler counter at
   // drain); bench_scale_macro divides by wall-clock for events/s.
   std::uint64_t executed_events = 0;
+  // Most calls in flight at once (dispatched, reply not yet delivered)
+  // over the whole replication, warm-up included (docs/scale.md).
+  std::int64_t peak_calls_in_flight = 0;
   // Closed-loop omission annotation (docs/openloop.md): the same OK calls
   // measured from the call's service start (dispatch on an already-open
   // connection) vs from the connection's intended start (its Poisson

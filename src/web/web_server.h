@@ -126,6 +126,12 @@ class WebServer {
   double Derated(double minstr) const {
     return minstr / config_.service_efficiency;
   }
+  // The content fetch of one call: a cache Get on a hit, else a database
+  // Query. Not a coroutine: an untraced call gets the backend's task
+  // itself, a traced one a wrapper that adds the "cache"/"db" span and
+  // its energy residency.
+  sim::Task<void> Fetch(bool cache_hit, Bytes reply_bytes,
+                        const obs::TraceHandle& serve);
 
   hw::ServerNode* node_;
   net::Fabric* fabric_;

@@ -102,7 +102,9 @@ TEST_F(HdfsTest, LocalReadAvoidsNetwork) {
   EXPECT_FALSE(hdfs.HasLocalReplica(block, remote));
 }
 
-sim::Process WriteOne(Hdfs& hdfs, const std::string& name, Bytes size,
+// `name` by value: the process runs after the Spawn expression that
+// created its argument has ended.
+sim::Process WriteOne(Hdfs& hdfs, std::string name, Bytes size,
                       int writer, sim::Scheduler& sched, double* done_at) {
   co_await hdfs.WriteFile(name, size, writer);
   *done_at = sched.now();

@@ -14,18 +14,30 @@
 // is the marginal heap cost per request. Amortized container doubling
 // and histogram growth contribute O(log requests), absorbed by the
 // epsilon.
+//
+// The same file pins the pooled side: the in-flight state a saturated
+// web run holds per call at its peak (frame-pool high-water bytes over
+// peak calls in flight), and the one-pointer size of the spans every
+// request-path frame carries.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include "hw/profiles.h"
 #include "kv/experiment.h"
+#include "obs/energy.h"
+#include "obs/tracer.h"
 #include "sim/frame_pool.h"
 #include "web/service.h"
 #include "web/workload.h"
+
+// An off span or residency is one null pointer in its coroutine frame.
+static_assert(sizeof(wimpy::obs::CausalSpan) == sizeof(void*));
+static_assert(sizeof(wimpy::obs::ScopedResidency) == sizeof(void*));
 
 namespace {
 
@@ -173,6 +185,45 @@ TEST(ModelAllocTest, KvGetPutPathAllocatesNothingPerQuery) {
       << "KV get/put path allocates on the heap per query: short window "
       << short_allocs << " blocks / " << short_queries << " queries, long "
       << long_allocs << " blocks / " << long_queries << " queries";
+}
+
+// In-flight-state sentinel. A closed-loop web run that saturates the
+// 1 Gbps client-room uplink, as the 100k-connection macro cell does
+// (here with 72 instead of 240 web servers and a 1 s window), queues
+// thousands of reply flows there; each keeps its connection, ServeCall
+// and Transfer frames pooled until its last byte lands. Frame-pool
+// high-water bytes per peak call in flight measure that state: ~2 KB
+// with a wrapper frame per transfer and by-value span state in every
+// frame, ~1.1 KB without. The run gets a fresh thread so its pool
+// starts empty and the high-water mark is this run's alone.
+TEST(ModelAllocTest, InFlightStatePerCallStaysSmall) {
+  std::int64_t high_water_bytes = 0;
+  std::int64_t peak_calls = 0;
+  double served_per_s = 0;
+  std::thread run([&] {
+    web::WebTestbedConfig cfg = web::EdisonWebTestbed(72, 33);
+    cfg.client_machines = 24;
+    cfg.seed = 4242;
+    web::WebExperiment exp(std::move(cfg));
+    const web::LevelReport r = exp.MeasureClosedLoop(
+        web::HeavyMix(), /*concurrency=*/10000, 2, Seconds(1), Seconds(1));
+    high_water_bytes = sim::PoolHighWaterBytes();
+    peak_calls = r.peak_calls_in_flight;
+    served_per_s = r.achieved_rps;
+  });
+  run.join();
+
+  // Saturated: the uplink caps service near its ~18.6k calls/s, so calls
+  // pile up in flight.
+  ASSERT_GT(peak_calls, 2000) << "run not saturated; " << served_per_s
+                              << " calls/s served";
+  const double per_call = static_cast<double>(high_water_bytes) /
+                          static_cast<double>(peak_calls);
+  RecordProperty("pool_high_water_bytes", static_cast<int>(high_water_bytes));
+  RecordProperty("peak_calls_in_flight", static_cast<int>(peak_calls));
+  EXPECT_LE(per_call, 1400.0)
+      << "in-flight state per call grew: " << high_water_bytes
+      << " pooled bytes at a peak of " << peak_calls << " calls";
 }
 
 }  // namespace

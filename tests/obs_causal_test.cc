@@ -1,8 +1,8 @@
 // Causal-tracing contract tests (docs/observability.md): trace/span id
-// allocation, CausalSpan propagation and the null no-op path, name
-// interning, open-track bookkeeping, span-tree reconstruction, the
-// critical-path walk's tie-breaks, Perfetto flow-event rendering, and
-// the --trace-summary CSV.
+// allocation, CausalSpan propagation and the null no-op path, traced vs
+// untraced fabric transfers, name interning, open-track bookkeeping,
+// span-tree reconstruction, the critical-path walk's tie-breaks, Perfetto
+// flow-event rendering, and the --trace-summary CSV.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +10,9 @@
 #include <string_view>
 #include <vector>
 
+#include "hw/profiles.h"
+#include "hw/server_node.h"
+#include "net/fabric.h"
 #include "obs/critical_path.h"
 #include "obs/energy.h"
 #include "obs/export.h"
@@ -130,6 +133,137 @@ TEST(CausalSpanTest, NullHandleIsCompleteNoOp) {
     EXPECT_FALSE(static_cast<bool>(child.handle()));
   }
   EXPECT_EQ(tracer.size(), 0u);
+}
+
+TEST(CausalSpanTest, OffSpanHandsOutTheSharedNullHandle) {
+  sim::Scheduler sched;
+  // Everything but the tracer set: the span is still off, and its handle
+  // is the shared all-zero one, not a copy of the parent.
+  TraceHandle parent;
+  parent.sched = &sched;
+  parent.track = 9;
+  parent.ctx = TraceContext{5, 6, 7};
+  CausalSpan off(parent, "off", Category::kRequest, 3);
+  EXPECT_EQ(&off.handle(), &kNullTraceHandle);
+  EXPECT_EQ(off.handle().sched, nullptr);
+  EXPECT_EQ(off.handle().track, 0);
+  EXPECT_EQ(off.handle().ctx.trace_id, 0u);
+  EXPECT_EQ(off.handle().ctx.span_id, 0u);
+  EXPECT_EQ(off.handle().ctx.parent_id, 0u);
+  off.Instant("ignored", 1);
+
+  // Children of an off span are off too, whatever their track.
+  CausalSpan child(off.handle(), "child", Category::kRequest);
+  CausalSpan cross(off.handle(), 4, "cross", Category::kTask);
+  EXPECT_EQ(&child.handle(), &kNullTraceHandle);
+  EXPECT_EQ(&cross.handle(), &kNullTraceHandle);
+  const CausalSpan unset;
+  EXPECT_EQ(&unset.handle(), &kNullTraceHandle);
+}
+
+TEST(CausalSpanTest, OnSpanTakesFreshIdUnderItsParent) {
+  sim::Scheduler sched;
+  Tracer tracer;
+  TraceHandle root;
+  root.tracer = &tracer;
+  root.sched = &sched;
+  root.track = 3;
+  root.ctx.trace_id = tracer.NewTraceId();
+  root.ctx.span_id = tracer.NewSpanId();  // as if under an enclosing span
+  {
+    CausalSpan span(root, "span", Category::kRequest, 11);
+    const TraceHandle& h = span.handle();
+    EXPECT_EQ(h.tracer, &tracer);
+    EXPECT_EQ(h.sched, &sched);
+    EXPECT_EQ(h.track, 3);
+    EXPECT_EQ(h.ctx.trace_id, root.ctx.trace_id);
+    EXPECT_EQ(h.ctx.parent_id, root.ctx.span_id);
+    EXPECT_NE(h.ctx.span_id, root.ctx.span_id);
+    EXPECT_NE(h.ctx.span_id, 0u);
+    // The handle lives as long as the span, at one address.
+    EXPECT_EQ(&span.handle(), &h);
+
+    CausalSpan child(h, 8, "child", Category::kNet);
+    EXPECT_EQ(child.handle().track, 8);
+    EXPECT_EQ(child.handle().ctx.parent_id, h.ctx.span_id);
+    EXPECT_GT(child.handle().ctx.span_id, h.ctx.span_id);
+  }
+  // Two begins, two ends; the tracks balance back to zero.
+  EXPECT_EQ(tracer.size(), 4u);
+  EXPECT_EQ(tracer.open_tracks(), 0u);
+}
+
+// Two hosts in two rooms, for the traced-transfer tests below.
+struct TwoRooms {
+  TwoRooms()
+      : fabric(&sched),
+        a(&sched, hw::EdisonProfile(), 0),
+        b(&sched, hw::EdisonProfile(), 1) {
+    fabric.AddNode(&a, "room-a");
+    fabric.AddNode(&b, "room-b");
+    fabric.SetGroupLink("room-a", "room-b", Gbps(1), Milliseconds(0.05));
+  }
+  sim::Scheduler sched;
+  net::Fabric fabric;
+  hw::ServerNode a;
+  hw::ServerNode b;
+};
+
+sim::Process RequestReply(net::Fabric& fabric, TraceHandle trace,
+                          SimTime* done) {
+  co_await fabric.Transfer(0, 1, 200, trace, "req_xfer");
+  co_await fabric.Transfer(1, 0, KB(8), trace, "reply_xfer");
+  *done = fabric.scheduler().now();
+}
+
+TEST(TracedTransferTest, TracedTransferEmitsNetSpansUntracedNone) {
+  TwoRooms untraced;
+  SimTime untraced_done = -1;
+  sim::Spawn(untraced.sched,
+             RequestReply(untraced.fabric, TraceHandle{}, &untraced_done));
+  untraced.sched.Run();
+
+  TwoRooms traced;
+  Tracer tracer;
+  TraceHandle root;
+  root.tracer = &tracer;
+  root.sched = &traced.sched;
+  root.track = 2;
+  root.ctx.trace_id = tracer.NewTraceId();
+  root.ctx.span_id = tracer.NewSpanId();
+  SimTime traced_done = -1;
+  sim::Spawn(traced.sched, RequestReply(traced.fabric, root, &traced_done));
+  traced.sched.Run();
+
+  // Tracing changes nothing simulated: same completion, same events.
+  EXPECT_GT(untraced_done, 0.0);
+  EXPECT_EQ(traced_done, untraced_done);
+  EXPECT_EQ(traced.sched.executed_events(),
+            untraced.sched.executed_events());
+
+  // req_xfer B/E, then reply_xfer B/E: kNet spans under the root span,
+  // arg = bytes, ending when the last byte lands.
+  const auto& ev = tracer.events();
+  ASSERT_EQ(ev.size(), 4u);
+  const char* names[] = {"req_xfer", "req_xfer", "reply_xfer", "reply_xfer"};
+  const char phases[] = {'B', 'E', 'B', 'E'};
+  const std::int64_t args[] = {200, 200, KB(8), KB(8)};
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    EXPECT_EQ(std::string_view(ev[i].name), names[i]);
+    EXPECT_EQ(ev[i].phase, phases[i]);
+    EXPECT_EQ(ev[i].category, Category::kNet);
+    EXPECT_EQ(ev[i].arg, args[i]);
+    EXPECT_EQ(ev[i].track, 2);
+    EXPECT_EQ(ev[i].trace_id, root.ctx.trace_id);
+    EXPECT_EQ(ev[i].parent_id, root.ctx.span_id);
+  }
+  EXPECT_EQ(ev[0].span_id, ev[1].span_id);
+  EXPECT_EQ(ev[2].span_id, ev[3].span_id);
+  EXPECT_NE(ev[0].span_id, ev[2].span_id);
+  EXPECT_EQ(ev[0].time, 0.0);
+  EXPECT_EQ(ev[1].time, ev[2].time);
+  EXPECT_EQ(ev[3].time, traced_done);
+  EXPECT_EQ(tracer.open_tracks(), 0u);
 }
 
 TEST(TracerTest, BalancedTracksAreErasedFromOpenSet) {

@@ -117,6 +117,46 @@ TEST(EnergyAttributorTest, ConcurrentResidentsSplitEqually) {
   EXPECT_EQ(energy.TakeLedger().rows.size(), 0u);
 }
 
+sim::Process ResidencyUnder(sim::Scheduler& sched, EnergyAttributor* energy,
+                           const TraceHandle& handle) {
+  ScopedResidency res(energy, 0, handle, "work");
+  co_await sim::Delay(sched, 1.0);
+}
+
+// A residency with a null attributor or a null handle is off: the ledger
+// reads exactly what it reads with no residency at all.
+TEST(ScopedResidencyTest, OffResidencyLeavesTheLedgerAlone) {
+  Tracer tracer;
+  auto ledger_with = [&](bool attributor_on, bool handle_on) {
+    sim::Scheduler sched;
+    hw::ServerNode node(&sched, hw::EdisonProfile(), 0);
+    EnergyAttributor energy;
+    node.ObserveEnergy(&energy);
+    TraceHandle handle;
+    if (handle_on) {
+      handle = RootHandle(tracer, sched);
+      handle.ctx.span_id = tracer.NewSpanId();
+    }
+    sim::Spawn(sched, ResidencyUnder(sched, attributor_on ? &energy : nullptr,
+                                     handle));
+    sched.Run();
+    return energy.TakeLedger();
+  };
+
+  const EnergyLedger on = ledger_with(true, true);
+  ASSERT_EQ(on.rows.size(), 1u);
+  EXPECT_GT(on.rows[0].joules, 0.0);
+
+  const EnergyLedger none = ledger_with(true, false);
+  const EnergyLedger no_attributor = ledger_with(false, true);
+  for (const EnergyLedger* off : {&none, &no_attributor}) {
+    EXPECT_TRUE(off->rows.empty());
+    EXPECT_EQ(off->total_joules, on.total_joules);
+    EXPECT_EQ(off->unattributed_joules, on.total_joules);
+    EXPECT_EQ(off->window_joules, 0.0);
+  }
+}
+
 // Does the tree carry an instant `name` nested under span `span_id`?
 bool HasInstant(const TraceTree& tree, std::uint64_t span_id,
                 std::string_view name) {
