@@ -45,16 +45,20 @@ double PercentileTracker::Percentile(double q) const {
   // NaN, not 0: a zero p99 from an empty tracker would vacuously pass any
   // SLO gate. Callers that feed bench JSON must check empty() first.
   if (samples_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
   q = std::clamp(q, 0.0, 1.0);
   const double pos = q * static_cast<double>(samples_.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  // Only the two order statistics the interpolation reads are placed:
+  // after nth_element everything past `lo` is >= it, so the next order
+  // statistic is the minimum of that tail. Same values as a full sort.
+  const auto lo_it = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples_.begin(), lo_it, samples_.end());
+  const double lo_value = *lo_it;
+  const double hi_value = lo_it + 1 == samples_.end()
+                              ? lo_value
+                              : *std::min_element(lo_it + 1, samples_.end());
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 void TimeWeightedAverage::Set(double t, double value) {

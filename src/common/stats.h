@@ -38,22 +38,19 @@ class OnlineStats {
 // memory is the trade-off for exactness in paper-comparison reporting.
 class PercentileTracker {
  public:
-  void Add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
+  void Add(double x) { samples_.push_back(x); }
   std::size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
 
   // q clamped to [0,1]; linear interpolation between order statistics.
   // Returns NaN when empty — never 0, which would vacuously pass SLO
   // gates. Call sites feeding bench JSON must check empty() explicitly.
+  // O(n) per call: a partial selection, which reorders the samples.
   double Percentile(double q) const;
   double Median() const { return Percentile(0.5); }
 
  private:
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
 };
 
 // Time-weighted average of a piecewise-constant signal, e.g. CPU utilisation

@@ -10,14 +10,20 @@ namespace wimpy::obs {
 std::function<void(SimTime, Watts)> EnergyAttributor::ObserveNode(
     sim::Scheduler* sched, int node_id, Watts initial_watts) {
   sched_ = sched;
-  NodeState& node = nodes_[node_id];
-  node.watts = initial_watts;
-  node.last = sched->now();
-  return [this, node_id](SimTime t, Watts w) {
-    NodeState& n = nodes_[node_id];
-    Accrue(n, t);
-    n.watts = w;
+  std::shared_ptr<NodeState>& node = nodes_[node_id];
+  if (node == nullptr) node = std::make_shared<NodeState>();
+  node->owner = this;
+  node->watts = initial_watts;
+  node->last = sched->now();
+  return [node](SimTime t, Watts w) {
+    if (node->owner == nullptr) return;
+    node->owner->Accrue(*node, t);
+    node->watts = w;
   };
+}
+
+EnergyAttributor::~EnergyAttributor() {
+  for (auto& [id, node] : nodes_) node->owner = nullptr;
 }
 
 void EnergyAttributor::Accrue(NodeState& node, SimTime now) {
@@ -42,7 +48,7 @@ void EnergyAttributor::Accrue(NodeState& node, SimTime now) {
 void EnergyAttributor::AccrueAll() {
   if (sched_ == nullptr) return;
   const SimTime now = sched_->now();
-  for (auto& [id, node] : nodes_) Accrue(node, now);
+  for (auto& [id, node] : nodes_) Accrue(*node, now);
 }
 
 void EnergyAttributor::SpanEnter(int node_id, const TraceHandle& handle,
@@ -50,7 +56,7 @@ void EnergyAttributor::SpanEnter(int node_id, const TraceHandle& handle,
   if (!handle) return;
   auto it = nodes_.find(node_id);
   if (it == nodes_.end()) return;
-  NodeState& node = it->second;
+  NodeState& node = *it->second;
   Accrue(node, handle.sched->now());
   const auto key = std::make_pair(handle.ctx.span_id, node_id);
   auto [row_it, inserted] = row_index_.emplace(key, ledger_.rows.size());
@@ -65,7 +71,7 @@ void EnergyAttributor::SpanLeave(int node_id, const TraceHandle& handle) {
   if (!handle) return;
   auto it = nodes_.find(node_id);
   if (it == nodes_.end()) return;
-  NodeState& node = it->second;
+  NodeState& node = *it->second;
   Accrue(node, handle.sched->now());
   auto row_it = row_index_.find(std::make_pair(handle.ctx.span_id, node_id));
   if (row_it == row_index_.end()) return;
@@ -94,12 +100,13 @@ EnergyLedger EnergyAttributor::TakeLedger() {
   EnergyLedger out = std::move(ledger_);
   ledger_ = EnergyLedger{};
   row_index_.clear();
-  for (auto& [id, node] : nodes_) node.resident_rows.clear();
+  for (auto& [id, node] : nodes_) node->resident_rows.clear();
   return out;
 }
 
 void EnergyAttributor::Detach() {
   AccrueAll();
+  for (auto& [id, node] : nodes_) node->owner = nullptr;
   nodes_.clear();
   sched_ = nullptr;
 }

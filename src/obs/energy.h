@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -61,6 +62,7 @@ struct EnergyLedger {
 class EnergyAttributor {
  public:
   EnergyAttributor() = default;
+  ~EnergyAttributor();
 
   EnergyAttributor(const EnergyAttributor&) = delete;
   EnergyAttributor& operator=(const EnergyAttributor&) = delete;
@@ -69,7 +71,9 @@ class EnergyAttributor {
   // the power-change listener to install via
   // `hw::NodePowerModel::SetPowerListener` (callers use
   // `hw::ServerNode::ObserveEnergy`, which wires it). `initial_watts` is
-  // the node's current level at subscription time.
+  // the node's current level at subscription time. The listener holds the
+  // node's state directly (no lookup per power change) and turns into a
+  // no-op once the attributor detaches or is destroyed.
   std::function<void(SimTime, Watts)> ObserveNode(sim::Scheduler* sched,
                                                   int node_id,
                                                   Watts initial_watts);
@@ -100,7 +104,9 @@ class EnergyAttributor {
   void Detach();
 
  private:
+  // Shared with the node's listener; `owner` is null once detached.
   struct NodeState {
+    EnergyAttributor* owner = nullptr;
     Watts watts = 0;
     SimTime last = 0;
     std::vector<std::size_t> resident_rows;  // indices into ledger_.rows
@@ -111,7 +117,7 @@ class EnergyAttributor {
 
   sim::Scheduler* sched_ = nullptr;
   bool in_window_ = false;
-  std::map<int, NodeState> nodes_;
+  std::map<int, std::shared_ptr<NodeState>> nodes_;
   // (span_id, node_id) -> row index, so re-entering accumulates.
   std::map<std::pair<std::uint64_t, int>, std::size_t> row_index_;
   EnergyLedger ledger_;

@@ -14,16 +14,11 @@
 // front entry. Arm is an O(1) ring append; Cancel is an O(1) closure
 // reset (the dead entry is skipped for free when the FIFO drains); the
 // engine's pending set holds one chain per queue instead of one per
-// timer — TIME_WAIT handling is O(1) end to end (ROADMAP item). The
-// queue routes through whichever scheduler tier fits its delay: short
-// delays (< the wheel horizon, ~65 ms) land the head event in the
-// timing wheel, long ones (TIME_WAIT's seconds) in the overflow heap —
-// either way, one resident chain per queue.
+// timer — TIME_WAIT handling is O(1) end to end (ROADMAP item).
 //
 // Ordering semantics: entries due at the same instant run back-to-back
 // inside one engine event, in arm order. Relative order against
-// *unrelated* events at the exact same timestamp is not specified (the
-// same lossy-tie freedom the scheduler's chain cache already has); the
+// *unrelated* events at the exact same timestamp is not specified; the
 // engine's own golden-trace contract is untouched because this type is a
 // client of the scheduler, not a change to it.
 #ifndef WIMPY_SIM_BATCH_TIMER_H_

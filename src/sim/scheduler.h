@@ -10,36 +10,28 @@
 // Internals are built for the hot path (see docs/engine.md):
 //
 //  * Callbacks are `EventFn` — small-buffer-optimised closures. Storage
-//    is SoA: the hot per-event metadata (sequence number + chain link,
-//    16 bytes) lives in `meta_`, packed four to a cache line, while the
-//    48-byte closure payload sits in a parallel chunked store and is
-//    only touched twice per event (store on schedule, move-out on fire).
-//    Chunking means growth never relocates live closures.
-//  * The pending set is two-tiered. A hierarchical timing wheel
-//    (2 levels x 256 buckets, 1 µs tick) absorbs the dense short-delay
-//    traffic that dominates web runs — insertion is O(1), no comparisons.
-//    A 4-ary min-heap of *timestamp chains* is the overflow/frontier
-//    tier: due and near-due chains, far-future chains beyond the wheel
-//    horizon (2^16 ticks, ~65.5 ms of lookahead), and non-finite
-//    timestamps. Wheel buckets are promoted wholesale into the heap
-//    before the clock can reach them, so the heap comparator — (time,
-//    key), key packing {seq:40, slot:24} — restores the exact global
-//    order and the wheel never has to be ordered internally.
-//  * Events at an already-pending timestamp append to that timestamp's
-//    chain in O(1) (found via a small lossy cache; a miss just starts
-//    another chain for the same instant, which the heap merges back in
-//    sequence order), so wheel/heap size tracks the number of distinct
-//    pending *times*, not events.
-//  * `Run` drains each same-timestamp chain as one *big step*: the whole
-//    chain executes without re-touching the heap between events (one
-//    key write-through per event, no sift), falling back to the generic
-//    single-event path only when another same-time chain, a fast-lane
-//    wake-up, or a mutation from inside a callback interleaves.
-//  * `Cancel` is O(1): the event's closure is destroyed and its slot
-//    marked dead; the chain link is skipped for free when its timestamp
-//    is reached. Accounting (`pending_events`) stays exact — there is no
-//    hash-set tombstone scheme and a stale cancel returns false.
-//  * `ResumeLater` bypasses both tiers entirely: raw coroutine handles go
+//    is SoA: the hot per-event metadata (sequence number, chain link and
+//    heap position, 24 bytes) lives in `meta_`, while the 48-byte closure
+//    payload sits in a parallel chunked store and is only touched twice
+//    per event (store on schedule, move-out on fire). Chunking means
+//    growth never relocates live closures.
+//  * The pending set is one 4-ary min-heap of *same-time chains*. A chain
+//    is every pending event at one timestamp, linked in scheduling order;
+//    the heap holds one entry per chain, ranked by (time, head sequence
+//    number) as a single unsigned 128-bit value, and each chain head
+//    records its heap position.
+//  * A ScheduleAt at the same instant as the previous ScheduleAt appends
+//    to that chain in O(1) (a one-entry "last tail"); anything else
+//    starts a new chain. Several chains may share an instant: each is
+//    sequence-sorted and the heap merges their heads by sequence, so the
+//    order stays exact. Popping a chain head re-keys the root to the next
+//    link.
+//  * `Cancel` and `RescheduleAfter` of a chain's sole member erase or
+//    re-key its heap entry in place. Inside a longer chain they stay lazy:
+//    the closure is destroyed (or moved on) and the dead link is unhooked
+//    when the chain reaches it. Accounting (`pending_events`) is exact
+//    either way, and a stale cancel returns false.
+//  * `ResumeLater` bypasses the heap entirely: raw coroutine handles go
 //    through a FIFO ring (the fast lane) and are interleaved with timed
 //    events by sequence number, preserving the deterministic order while
 //    making the dominant wake-up path allocation-free and O(1).
@@ -57,6 +49,8 @@
 #ifndef WIMPY_SIM_SCHEDULER_H_
 #define WIMPY_SIM_SCHEDULER_H_
 
+#include <algorithm>
+#include <bit>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -93,8 +87,9 @@ class Scheduler {
   // Schedules `fn` after `delay` seconds (negative treated as 0).
   EventId ScheduleAfter(Duration delay, EventFn fn);
 
-  // Cancels a pending event in O(1). Returns false if it already ran or
-  // was cancelled before.
+  // Cancels a pending event: O(log d) for a chain's sole member, whose
+  // heap entry goes at once, O(1) otherwise (d = pending chains). Returns
+  // false if it already ran or was cancelled before.
   bool Cancel(EventId id);
 
   // Re-arms a pending event at `now + delay`, keeping its closure: the
@@ -104,11 +99,10 @@ class Scheduler {
   // closure. When the event is the tail of its timestamp chain (the
   // overwhelmingly common case for the arm/cancel/re-arm pattern of
   // FairShareServer::Reschedule), its slot is reused in place, saving the
-  // slot free/acquire pair and leaving no dead link behind in the old
-  // chain. The new chain enters whichever tier (wheel or heap) the new
-  // timestamp calls for, independent of where the old one lived. Returns
-  // the new EventId (the old one goes stale), or 0 if `id` already ran or
-  // was cancelled — the caller should then schedule afresh.
+  // slot free/acquire pair; a sole-member chain is re-keyed in the heap
+  // without leaving anything behind. Returns the new EventId (the old one
+  // goes stale), or 0 if `id` already ran or was cancelled — the caller
+  // should then schedule afresh.
   EventId RescheduleAfter(EventId id, Duration delay);
 
   // Schedules a coroutine resumption at the current time via the fast
@@ -127,7 +121,9 @@ class Scheduler {
                       std::numeric_limits<std::size_t>::max());
 
   // Executes exactly one event if available. Returns false on empty queue.
-  bool Step();
+  bool Step() {
+    return Run(std::numeric_limits<SimTime>::infinity(), 1) == 1;
+  }
 
   bool empty() const { return pending_events() == 0; }
   std::size_t pending_events() const {
@@ -154,75 +150,36 @@ class Scheduler {
   std::uint64_t fn_heap_allocations() const { return fn_heap_allocs_; }
   // Wake-ups that took the fast lane instead of the heap.
   std::uint64_t fast_lane_resumes() const { return fast_lane_resumes_; }
-  // Timestamp chains that entered through the timing wheel (vs the heap).
-  std::uint64_t wheel_inserts() const { return wheel_inserts_; }
-  // Bucket promotions: one per wheel bucket moved wholesale to the heap.
-  std::uint64_t wheel_promotions() const { return wheel_promotions_; }
-  // Chains that spilled straight to the heap because their timestamp lay
-  // beyond the wheel horizon (or was not finite).
-  std::uint64_t wheel_overflow_spills() const { return wheel_overflow_; }
-  // Chains currently resident in wheel buckets (not yet promoted).
-  std::size_t wheel_resident_chains() const { return wheel_chains_; }
-
-  // Static wheel geometry, for benchmark context and diagnostics.
-  struct WheelGeometry {
-    unsigned levels;
-    unsigned buckets_per_level;
-    double tick_seconds;
-    std::uint64_t horizon_ticks;  // exclusive: beyond this -> heap
-  };
-  static constexpr WheelGeometry wheel_geometry() {
-    return {kWheelLevels, kWheelBuckets, kTickSeconds,
-            1ull << (kWheelBits * kWheelLevels)};
-  }
 
  private:
-  // One heap entry per pending timestamp chain. `key` packs
-  // {seq:40, slot:24} of the chain's current head, so a single integer
-  // compare breaks time ties FIFO and names the head slot.
-  struct HeapEntry {
-    SimTime time;
-    std::uint64_t key;
-  };
-  // Hot per-event metadata, four to a cache line (SoA: the closure
-  // payload lives in the parallel chunked store, see FnAt). `seq` is the
-  // event's unique sequence number (0 = slot free); an empty FnAt(slot)
-  // on an occupied slot marks a cancelled event awaiting cheap removal
-  // when its timestamp is reached. `next_key` is the full chain key
-  // {seq:40, slot:24} of the next same-time event, or kNullKey at the
-  // chain tail.
+  // A heap entry: (time bits << 64) | key, where key packs {seq:40,
+  // slot:24} of the chain's current head. Times are never negative and
+  // non-negative doubles order like their bit patterns (-0.0 is
+  // normalised on entry), so one unsigned compare orders by time and
+  // breaks ties FIFO.
+  using Rank = unsigned __int128;
+  // Hot per-event metadata (SoA: the closure payload lives in the
+  // parallel chunked store, see FnAt). `seq` is the event's unique
+  // sequence number (0 = slot free); an empty FnAt(slot) on an occupied
+  // slot marks a cancelled event awaiting removal when its chain reaches
+  // it. `next_key` is the full key {seq:40, slot:24} of the next
+  // same-time event, or kNullKey at the chain tail. `heap_pos` is the
+  // index of the chain's heap entry while the slot heads a chain, else
+  // kNotHead.
   struct SlotMeta {
     std::uint64_t seq = 0;
     std::uint64_t next_key = kNullKey;
-  };
-  // One wheel-resident timestamp chain: the same (time, key) payload a
-  // heap entry carries, plus an intrusive link to the next chain in the
-  // same bucket (buckets are unordered singly linked lists; `next` doubles
-  // as the node freelist link).
-  struct WheelNode {
-    SimTime time;
-    std::uint64_t key;
-    std::uint32_t next;
+    std::uint32_t heap_pos = kNotHead;
   };
   struct RingEntry {
     std::coroutine_handle<> handle;
     std::uint64_t seq;
   };
-  // Lossy map from timestamp to the tail of a pending chain at that time.
-  // A stale entry is detected by checking the slot still holds the cached
-  // sequence number and is still a tail; a miss merely starts a second
-  // chain for the same instant. 16 bytes — `tail_key` is the tail's full
-  // chain key {seq:40, slot:24}, so hit validation and update are one
-  // load and one store each.
-  struct CacheEntry {
-    SimTime time = 0.0;
-    std::uint64_t tail_key = kNullKey;
-  };
 
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   static constexpr std::uint64_t kNullKey = 0;  // real keys are >= 1<<24
-  static constexpr std::size_t kCacheSize = 512;  // power of two
+  static constexpr std::uint32_t kNotHead = 0xffffffffu;
 
   // Closure payloads live in fixed-size chunks (4096 x 48 B = 192 KiB)
   // indexed by slot. Unlike a flat vector, growing by a chunk never
@@ -236,138 +193,100 @@ class Scheduler {
   static constexpr unsigned kFnChunkBits = 12;
   static constexpr std::size_t kFnChunkSize = 1u << kFnChunkBits;
 
-  // Timing-wheel geometry: 2 levels of 256 buckets at a 1 µs tick.
-  // Level L spans ticks [2^(8L), 2^(8(L+1))) ahead of the clock, so the
-  // horizon is 2^16 ticks ≈ 65.5 ms of lookahead. The wheel exists for
-  // the dense short-delay traffic the serving benches generate (µs–ms
-  // service and network hops); longer timers — TIME_WAIT churn,
-  // keepalives, sweep deadlines — are sparse, usually cancelled, and go
-  // straight to the overflow heap where a push/lazy-pop is cheaper than
-  // riding a bucket through promotion. Ticks that do not fit (inf/NaN)
-  // overflow to the heap as well.
-  static constexpr unsigned kWheelBits = 8;
-  static constexpr std::uint32_t kWheelBuckets = 1u << kWheelBits;
-  static constexpr unsigned kWheelLevels = 2;
-  static constexpr double kTickSeconds = 1e-6;
-  static constexpr double kInvTick = 1e6;
-  // Ticks must survive the double->uint64 conversion exactly; 2^53 is
-  // the last integer doubles can still count to, far past the horizon.
-  static constexpr double kTickLimit = 9007199254740992.0;  // 2^53
-  static constexpr std::uint64_t kMaxTick =
-      std::numeric_limits<std::uint64_t>::max();
-  static constexpr std::uint32_t kNilNode = 0xffffffffu;
-
-  static bool EntryLess(const HeapEntry& a, const HeapEntry& b) {
-    return a.time < b.time || (a.time == b.time && a.key < b.key);
+  static Rank RankOf(SimTime t, std::uint64_t key) {
+    const double normalised = t + 0.0;  // -0.0 -> +0.0
+    return (static_cast<Rank>(std::bit_cast<std::uint64_t>(normalised))
+            << 64) |
+           key;
   }
-  static std::size_t CacheIndex(SimTime t);
-  // Floor tick of a timestamp; kMaxTick for NaN/inf/past-2^53 values.
-  static std::uint64_t TickOf(SimTime t) {
-    const double scaled = t * kInvTick;
-    if (!(scaled < kTickLimit)) return kMaxTick;  // NaN-safe form
-    return scaled <= 0.0 ? 0 : static_cast<std::uint64_t>(scaled);
+  static SimTime TimeOf(Rank r) {
+    return std::bit_cast<SimTime>(static_cast<std::uint64_t>(r >> 64));
+  }
+  static std::uint64_t KeyOf(Rank r) { return static_cast<std::uint64_t>(r); }
+  static std::uint32_t SlotOf(std::uint64_t key) {
+    return static_cast<std::uint32_t>(key & kSlotMask);
+  }
+  static std::uint64_t ChainKey(std::uint64_t seq, std::uint32_t slot) {
+    return (seq << kSlotBits) | slot;
   }
 
   std::uint32_t AcquireSlot();
-  // Links an occupied slot (seq already assigned) into the chain/cache/
-  // tier structures at time `t` and returns its chain key.
+  // Links an occupied slot (seq already assigned) into the pending set at
+  // time `t` — onto the last tail when it is at `t`, else as a new
+  // chain — and returns its key.
   EventId LinkSlot(std::uint32_t slot, std::uint64_t seq, SimTime t);
   EventFn& FnAt(std::uint32_t slot) {
     return reinterpret_cast<EventFn*>(
         fn_chunks_[slot >> kFnChunkBits].get())[slot & (kFnChunkSize - 1)];
   }
-  const EventFn& FnAt(std::uint32_t slot) const {
-    return reinterpret_cast<const EventFn*>(
-        fn_chunks_[slot >> kFnChunkBits].get())[slot & (kFnChunkSize - 1)];
-  }
   void FreeSlot(std::uint32_t slot) {
     FnAt(slot).Reset();
-    meta_[slot].seq = 0;  // stale EventIds and cache entries fail validation
+    meta_[slot].seq = 0;  // stale EventIds and tails fail validation
     free_slots_.push_back(slot);
   }
 
-  // Starts a new chain headed by (t, key) in whichever tier its distance
-  // from the clock calls for.
-  void StartChain(SimTime t, std::uint64_t key);
-  void HeapPush(SimTime t, std::uint64_t key);
-  void WheelInsert(unsigned level, std::uint64_t tick, SimTime t,
-                   std::uint64_t key);
-  // Exact lower bound (in ticks) on the earliest wheel-resident chain;
-  // also reports which (level, bucket) attains it. Precondition:
-  // wheel_chains_ > 0.
-  std::uint64_t WheelMinLowerBound(unsigned* level, std::uint32_t* bucket)
-      const;
-  // Moves one bucket's chains wholesale into the heap and refreshes the
-  // cached wheel lower bound.
-  void PromoteBucket(unsigned level, std::uint32_t bucket);
-  void AdvanceClock(SimTime t) {
-    now_ = t;
-    cursor_tick_ = TickOf(t);
+  // Indexed 4-ary heap. Every write of an entry goes through Place, which
+  // records the position in the head slot's metadata.
+  void Place(std::size_t pos, Rank r) {
+    heap_[pos] = r;
+    meta_[SlotOf(KeyOf(r))].heap_pos = static_cast<std::uint32_t>(pos);
   }
-
-  void HeapSiftUp(std::size_t pos);
-  void HeapSiftDown(std::size_t pos);
-  void PopRootEntry();
-
-  // Drops cancelled events off the top chain (freeing their slots) until
-  // the heap is empty or its top names a live chain head.
+  void HeapPush(Rank r);
+  void HeapErase(std::size_t pos);
+  // Gives the entry at `pos` a new rank and restores the heap order.
+  void HeapRekey(std::size_t pos, Rank r);
+  void SiftUp(std::size_t pos, Rank r);
+  // Two ways down. SiftDown stops as soon as `r` fits, for a rank that
+  // usually stays put: the root chain's next link. SinkHole walks the
+  // hole at `pos` to a leaf along the smaller children and sifts `r` up
+  // from there, one compare fewer per level, for a rank that belongs
+  // near the bottom: the heap's last entry, or a timer re-armed later.
+  void SiftDown(std::size_t pos, Rank r);
+  void SinkHole(std::size_t pos, Rank r);
+  // The smallest of the (up to four) children of `pos`, which has one.
+  std::size_t MinChild(std::size_t pos) const {
+    const std::size_t first = (pos << 2) + 1;
+    const std::size_t end = std::min(first + 4, heap_.size());
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (heap_[c] < heap_[best]) best = c;
+    }
+    return best;
+  }
+  // The root chain's head is gone: re-keys the root to `next_key`, or
+  // removes it when the chain ends there (null link, or a tail that was
+  // re-armed elsewhere and so carries a newer sequence number).
+  void AdvanceRoot(std::uint64_t next_key);
+  // Drops cancelled heads off the root chain (freeing their slots) until
+  // the heap is empty or its root names a live event.
   void ResolveTop();
-  // Promotes every wheel bucket that could precede the heap top and
-  // resolves cancelled heads. Postcondition: the heap top names a live
-  // chain head that is globally minimal among timed events, or the heap
-  // AND wheel are both empty.
-  void PrepareNext();
 
   // True when the next event in (time, seq) order is the ring front.
-  // Precondition: PrepareNext() ran.
+  // Precondition: ResolveTop() ran.
   bool TakeRingNext() const;
   void RingPush(std::coroutine_handle<> handle, std::uint64_t seq);
   RingEntry RingPop();
   void RingGrow();
 
   // Executes the globally minimal pending event.
-  // Precondition: pending_events() > 0.
+  // Precondition: ResolveTop() ran and pending_events() > 0.
   void ExecuteNext();
-  // Big-step drain: executes up to `budget` events off the heap-top
-  // timestamp chain without re-touching the heap between events,
-  // interleaving ring wake-ups by sequence number. Returns to the generic
-  // loop (with the heap left valid) as soon as another chain, a budget
-  // limit, or a callback-made structural change interleaves.
-  // Precondition: PrepareNext() ran, heap top live, budget >= 1.
-  std::size_t DrainTopChain(std::size_t budget);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::size_t executed_events_ = 0;
   std::size_t live_scheduled_ = 0;
 
-  std::vector<HeapEntry> heap_;
+  std::vector<Rank> heap_;
   std::vector<SlotMeta> meta_;
   std::vector<std::unique_ptr<std::byte[]>> fn_chunks_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<CacheEntry> chain_cache_;
 
-  // Timing wheel: per-(level, bucket) chain-list heads, a 256-bit
-  // occupancy bitmap per level, and a pooled node array with an intrusive
-  // freelist. `cursor_tick_` mirrors TickOf(now_); the promotion rule in
-  // PrepareNext guarantees the cursor never enters an occupied bucket's
-  // tick window, so every occupied bucket's unwrapped lower bound is
-  // exact and strictly ahead of the clock. `wheel_next_lb_tick_` caches a
-  // conservative (never above the true) lower bound so the per-event cost
-  // of the wheel on the drain path is one compare.
-  std::vector<std::uint32_t> bucket_head_;  // kWheelLevels * kWheelBuckets
-  std::uint64_t occupancy_[kWheelLevels][kWheelBuckets / 64] = {};
-  std::uint32_t level_chains_[kWheelLevels] = {};  // resident chains/level
-  std::vector<WheelNode> nodes_;
-  std::uint32_t free_node_ = kNilNode;
-  std::uint64_t cursor_tick_ = 0;
-  std::uint64_t wheel_next_lb_tick_ = kMaxTick;
-  std::size_t wheel_chains_ = 0;
-
-  // Bumped on every heap structural change (push, pop, promotion, root
-  // advance) so DrainTopChain can detect callback-made mutations and fall
-  // back to the generic path.
-  std::uint64_t heap_gen_ = 0;
+  // The chain the last LinkSlot touched: its time and its tail's key.
+  // The tail is still usable iff its slot holds the same sequence number
+  // and has no successor.
+  SimTime last_time_ = 0.0;
+  std::uint64_t last_tail_ = kNullKey;
 
   // Fast-lane FIFO ring (power-of-two capacity).
   std::vector<RingEntry> ring_;
@@ -376,9 +295,6 @@ class Scheduler {
 
   std::uint64_t fn_heap_allocs_ = 0;
   std::uint64_t fast_lane_resumes_ = 0;
-  std::uint64_t wheel_inserts_ = 0;
-  std::uint64_t wheel_promotions_ = 0;
-  std::uint64_t wheel_overflow_ = 0;
 
   ExecuteHook exec_hook_ = nullptr;
   void* exec_hook_ctx_ = nullptr;

@@ -1,6 +1,9 @@
 #include "common/stats.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -101,6 +104,34 @@ TEST(PercentileTrackerTest, ExactQuartiles) {
   EXPECT_DOUBLE_EQ(t.Percentile(1.0), 100.0);
   EXPECT_NEAR(t.Median(), 50.5, 1e-12);
   EXPECT_NEAR(t.Percentile(0.99), 99.01, 1e-9);
+}
+
+// Percentile selects only the two order statistics it interpolates; the
+// result must be bit-identical to interpolating over a full sort, with
+// duplicates and after earlier queries have reordered the samples.
+TEST(PercentileTrackerTest, MatchesFullSortBitForBit) {
+  std::uint64_t lcg = 12345;
+  for (std::size_t n : {1u, 2u, 3u, 10u, 101u, 1000u, 4099u}) {
+    PercentileTracker t;
+    std::vector<double> sorted;
+    for (std::size_t i = 0; i < n; ++i) {
+      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+      const double x = 0.37 * static_cast<double>((lcg >> 33) % 64);
+      t.Add(x);
+      sorted.push_back(x);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    for (double q : {0.99, 0.0, 1.0, 0.5}) {
+      const double pos = q * static_cast<double>(n - 1);
+      const std::size_t lo = static_cast<std::size_t>(pos);
+      const std::size_t hi = std::min(lo + 1, n - 1);
+      const double frac = pos - static_cast<double>(lo);
+      const double want = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(t.Percentile(q)),
+                std::bit_cast<std::uint64_t>(want))
+          << "n=" << n << " q=" << q;
+    }
+  }
 }
 
 TEST(PercentileTrackerTest, EmptyReturnsNaN) {

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -115,6 +116,35 @@ TEST(EnergyAttributorTest, ConcurrentResidentsSplitEqually) {
   energy.SpanEnter(42, a, "a");
   energy.SpanEnter(0, TraceHandle{}, "null");
   EXPECT_EQ(energy.TakeLedger().rows.size(), 0u);
+}
+
+// The listener ObserveNode hands out holds the node's state itself. Once
+// the attributor detaches it must do nothing — not re-create the node,
+// not accrue into the ledger — and once the attributor is destroyed it
+// must still reach no freed state (the ASan build runs this too).
+TEST(EnergyAttributorTest, ListenerFiredAfterDetachIsANoOp) {
+  sim::Scheduler sched;
+  std::function<void(SimTime, Watts)> listener;
+  {
+    EnergyAttributor energy;
+    listener = energy.ObserveNode(&sched, 3, 2.0);
+    EXPECT_TRUE(energy.observing(3));
+    sched.ScheduleAt(1.0, [&] { listener(sched.now(), 4.0); });
+    sched.ScheduleAt(3.0, [] {});
+    sched.Run();
+    energy.Detach();
+    EXPECT_FALSE(energy.observing(3));
+    EXPECT_EQ(energy.node_count(), 0u);
+
+    listener(5.0, 8.0);
+    listener(7.0, 1.0);
+    EXPECT_FALSE(energy.observing(3));
+    const EnergyLedger ledger = energy.TakeLedger();
+    // 2 W on [0, 1] and 4 W on [1, 3], settled by Detach at t = 3.
+    EXPECT_DOUBLE_EQ(ledger.total_joules, 10.0);
+    EXPECT_DOUBLE_EQ(ledger.unattributed_joules, 10.0);
+  }
+  listener(9.0, 2.0);  // the attributor is gone
 }
 
 sim::Process ResidencyUnder(sim::Scheduler& sched, EnergyAttributor* energy,

@@ -286,6 +286,23 @@ void RunOpMix(Engine& eng, std::vector<int>& cancel_log) {
     (*armed)[i].live = false;
   }
 
+  // Window races: far events (seconds ahead) that, when they run, plant
+  // a near event 0.5-0.9 ms out, while another far event lands the clock
+  // 1-60 µs before it (mostly inside the same 256 µs window) and a third
+  // follows 20 ms later. The near event must run between the two; a
+  // pending set that files it by a coarse time window and loses it once
+  // the clock enters that window runs it late.
+  for (int k = 0; k < 24; ++k) {
+    const SimTime x = 1.5 + 0.125 * k;
+    const SimTime h = x + 1e-6 * (500 + next() % 300);
+    const Duration w_delay = (h - x) + 1e-6 * (1 + next() % 60);
+    eng.Schedule(x, 70000 + k, [&eng, k, w_delay] {
+      eng.Schedule(eng.Now() + w_delay, 71000 + k, nullptr);
+    });
+    eng.Schedule(h, 72000 + k, nullptr);
+    eng.Schedule(h + 0.020, 73000 + k, nullptr);
+  }
+
   // Run in bounded windows (exercising the drained-queue clock advance),
   // then to completion.
   eng.Run(1.0);
@@ -315,32 +332,35 @@ TEST(EventTraceTest, MatchesReferenceEngineOnMixedOps) {
   EXPECT_EQ(real.sched.pending_events(), 0u);
   EXPECT_EQ(ref.sched.pending_events(), 0u);
   EXPECT_EQ(real.Now(), ref.Now());
+  // The clock never runs backwards.
+  SimTime prev = 0;
+  for (const TraceEvent& e : real.trace.events()) {
+    EXPECT_GE(e.time, prev);
+    prev = e.time;
+  }
 }
 
-// Differential tier-crossing reschedules: the real engine's in-place
-// RescheduleAfter (across wheel->heap, heap->wheel, and same-bucket
-// moves) must produce the byte-identical event stream of the reference
-// engine's Cancel + ScheduleAfter. Delays straddle the ~65 ms wheel
-// horizon so every tier transition appears in one script.
+// Differential reschedules across delay scales: the real engine's
+// in-place RescheduleAfter (short -> long, long -> short, and sub-µs
+// nudges) must produce the byte-identical event stream of the reference
+// engine's Cancel + ScheduleAfter.
 template <typename Engine, typename Resched>
 void RunTierCrossMix(Engine& eng, Resched resched) {
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 24; ++i) {
-    // Even events start short-delay (wheel tier), odd start far-future
-    // (overflow heap).
+    // Even events start short-delay, odd start far-future.
     const SimTime t = (i % 2 == 0) ? 0.0005 * (1 + i % 8)
                                    : 0.5 + 0.125 * (i % 6);
     ids.push_back(eng.Schedule(t, i, nullptr));
   }
   for (int i = 0; i < 24; i += 3) {
-    // Even (wheel-resident) events move past the horizon; odd
-    // (heap-resident) events move inside it.
+    // Even (short) events move seconds out; odd (far) events move to
+    // within a few ms.
     const double delay =
         (i % 2 == 0) ? 1.0 + 0.25 * i : 0.001 * (1 + i % 4);
     ids[i] = resched(eng, ids[i], i, delay);
   }
-  // Same-tick re-aim: nudge an event by less than one wheel tick so the
-  // old and new chain share a bucket.
+  // Same-µs re-aim: nudge an event by less than a microsecond.
   ids[2] = resched(eng, ids[2], 2, 0.0015 + 4e-10);
   // A window run between reschedule volleys, then a second volley from a
   // nonzero clock, then drain.

@@ -237,74 +237,60 @@ TEST(SchedulerTest, RescheduleAfterLeavesChainMatesIntact) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier-crossing reschedules. The pending set is two-tier (timing wheel
-// for short delays, overflow heap beyond the ~65 ms horizon); a
-// reschedule must behave identically whichever tier the event leaves or
-// lands in. The wheel counters pin that the intended tier was actually
-// exercised, so these don't silently degrade into heap-only coverage if
-// the geometry changes.
+// Reschedules across delay scales. Short (µs–ms) and long (seconds)
+// delays once took different paths through the pending set; a reschedule
+// must behave identically whichever scale the event leaves or lands in.
 
 TEST(SchedulerTest, RescheduleAfterCrossesWheelToHeap) {
   Scheduler s;
   double fired_at = -1;
   EventId id = s.ScheduleAt(0.001, [&] { fired_at = s.now(); });
-  EXPECT_EQ(s.wheel_inserts(), 1u);  // short delay starts on the wheel
-  EXPECT_EQ(s.wheel_overflow_spills(), 0u);
   EventId moved = s.RescheduleAfter(id, 10.0);
   ASSERT_NE(moved, 0u);
-  // The new position is past the wheel horizon: it must spill to the
-  // heap (the stale wheel chain is dropped lazily at promotion).
-  EXPECT_EQ(s.wheel_overflow_spills(), 1u);
   s.Run();
   EXPECT_EQ(fired_at, 10.0);
   EXPECT_EQ(s.pending_events(), 0u);
-  EXPECT_EQ(s.wheel_resident_chains(), 0u);
 }
 
 TEST(SchedulerTest, RescheduleAfterCrossesHeapToWheel) {
   Scheduler s;
   double fired_at = -1;
   EventId id = s.ScheduleAt(10.0, [&] { fired_at = s.now(); });
-  EXPECT_EQ(s.wheel_inserts(), 0u);  // far future starts on the heap
-  EXPECT_EQ(s.wheel_overflow_spills(), 1u);
   EventId moved = s.RescheduleAfter(id, 0.001);
   ASSERT_NE(moved, 0u);
-  EXPECT_EQ(s.wheel_inserts(), 1u);  // now inside the horizon
   s.Run();
   EXPECT_EQ(fired_at, 0.001);
   EXPECT_EQ(s.pending_events(), 0u);
 }
 
 TEST(SchedulerTest, RescheduleAfterWithinSameWheelBucket) {
-  // Old and new position quantize to the same 1 µs wheel tick (and so
-  // the same bucket); the rescheduled event must still run strictly
-  // after its old chain-mate because its SimTime is later.
+  // Old and new position lie within one microsecond of each other; the
+  // rescheduled event must still run strictly after its old chain-mate
+  // because its SimTime is later.
   Scheduler s;
   std::vector<int> order;
   EventId a = s.ScheduleAt(0.001, [&] { order.push_back(0); });
   (void)a;
   EventId b = s.ScheduleAt(0.001, [&] { order.push_back(1); });
-  const double nudge = 4e-10;  // well inside one tick
+  const double nudge = 4e-10;  // well inside one microsecond
   ASSERT_NE(s.RescheduleAfter(b, 0.001 + nudge), 0u);
-  EXPECT_EQ(s.wheel_inserts(), 2u);  // old chain + same-bucket new chain
   s.Run();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 0);
   EXPECT_EQ(order[1], 1);
-  EXPECT_GE(s.wheel_promotions(), 1u);
-  EXPECT_EQ(s.wheel_resident_chains(), 0u);
+  EXPECT_EQ(s.pending_events(), 0u);
 }
 
 TEST(SchedulerTest, RescheduleAfterTierRoundTripKeepsClosureAndOrder) {
-  // wheel -> heap -> wheel round trip on one event, racing a fixed
+  // short -> long -> short round trip on one event, racing a fixed
   // bystander at the final time; FIFO (schedule order) must decide.
   Scheduler s;
   std::vector<int> order;
   EventId mover = s.ScheduleAt(0.002, [&] { order.push_back(0); });
   s.ScheduleAt(0.005, [&] { order.push_back(1); });
-  mover = s.RescheduleAfter(mover, 1.0);    // wheel -> heap
+  mover = s.RescheduleAfter(mover, 1.0);
   ASSERT_NE(mover, 0u);
-  mover = s.RescheduleAfter(mover, 0.005);  // heap -> wheel, ties bystander
+  mover = s.RescheduleAfter(mover, 0.005);  // ties the bystander
   ASSERT_NE(mover, 0u);
   s.Run();
   ASSERT_EQ(order.size(), 2u);
@@ -313,6 +299,57 @@ TEST(SchedulerTest, RescheduleAfterTierRoundTripKeepsClosureAndOrder) {
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 0);
   EXPECT_EQ(s.now(), 0.005);
+}
+
+// An event scheduled from inside a callback must run on time even when
+// another event moves the clock close to it first. X (99.5 ms) schedules
+// W at 100.05 ms; H at 100 ms runs in between and lands the clock 50 µs
+// before W; Y at 120 ms must still come after W. A pending set that
+// files W by a coarse window of time and loses track of it once the clock
+// enters that window runs W after Y, with now() going backwards.
+TEST(SchedulerTest, EventNearTheClockFiresOnTime) {
+  Scheduler s;
+  std::vector<char> order;
+  std::vector<SimTime> times;
+  auto log = [&](char name) {
+    order.push_back(name);
+    times.push_back(s.now());
+  };
+  s.ScheduleAt(0.0995, [&] {
+    log('X');
+    s.ScheduleAt(0.10005, [&] { log('W'); });
+  });
+  s.ScheduleAt(0.100, [&] { log('H'); });
+  s.ScheduleAt(0.120, [&] { log('Y'); });
+  s.Run();
+  EXPECT_EQ(order, (std::vector<char>{'X', 'H', 'W', 'Y'}));
+  EXPECT_EQ(times, (std::vector<SimTime>{0.0995, 0.100, 0.10005, 0.120}));
+  EXPECT_EQ(s.now(), 0.120);
+}
+
+// Cancelling or rescheduling a sole-member chain takes it out of the
+// pending set at once; the next event is still found in order.
+TEST(SchedulerTest, CancelAndRescheduleOfLoneEventsKeepOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 12; ++i) {
+    ids.push_back(s.ScheduleAt(1.0 + 0.5 * i, [&order, i] {
+      order.push_back(i);
+    }));
+  }
+  EXPECT_TRUE(s.Cancel(ids[0]));   // the earliest
+  EXPECT_TRUE(s.Cancel(ids[11]));  // the latest
+  EXPECT_TRUE(s.Cancel(ids[5]));
+  EXPECT_FALSE(s.Cancel(ids[5]));
+  ids[3] = s.RescheduleAfter(ids[3], 20.0);  // to the back
+  ids[9] = s.RescheduleAfter(ids[9], 0.25);  // to the front
+  ASSERT_NE(ids[3], 0u);
+  ASSERT_NE(ids[9], 0u);
+  EXPECT_EQ(s.pending_events(), 9u);
+  s.Run();
+  EXPECT_EQ(order, (std::vector<int>{9, 1, 2, 4, 6, 7, 8, 10, 3}));
+  EXPECT_EQ(s.now(), 20.0);
 }
 
 }  // namespace

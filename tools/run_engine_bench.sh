@@ -84,7 +84,7 @@ if [[ "${SUITE}" == "slo" ]]; then
 fi
 
 OUT="${OUT:-BENCH_engine.json}"
-FILTER="${FILTER:-SchedulerEventThroughput|SchedulerCancelChurn|SchedulerResumeLaterHops|SchedulerDistinctTimes|SchedulerShortDelayServing|FairShareManyJobs|ParallelSweep|RollupRecord|SketchMergeMany}"
+FILTER="${FILTER:-SchedulerEventThroughput|SchedulerCancelChurn|SchedulerResumeLaterHops|SchedulerSameTimeBursts|SchedulerShortDelayServing|FairShareManyJobs|ParallelSweep|RollupRecord|SketchMergeMany}"
 
 BIN="${BUILD_DIR}/bench/bench_engine_micro"
 if [[ ! -x "${BIN}" ]]; then
