@@ -36,15 +36,14 @@ struct CellResult {
 };
 
 CellResult RunCell(const Cell& cell, Rng& root,
-                   const core::DiurnalPattern& pattern, bool want_trace,
-                   bool want_metrics) {
+                   const core::DiurnalPattern& pattern,
+                   const obs::CaptureWants& wants) {
   web::WebTestbedConfig config = cell.edison
                                      ? web::EdisonWebTestbed(24, 11)
                                      : web::DellWebTestbed(2, 1);
   config.seed = root.Next();
   CellResult res;
-  res.report = core::MeasureDailyEnergy(config, pattern, kSamples,
-                                        want_trace, want_metrics);
+  res.report = core::MeasureDailyEnergy(config, pattern, kSamples, wants);
   return res;
 }
 
@@ -64,11 +63,10 @@ int main(int argc, char** argv) {
   };
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
+  const obs::CaptureWants wants = bench::CaptureWantsFor(args);
   const auto t0 = std::chrono::steady_clock::now();
   auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, pattern, want_trace, want_metrics);
+    return RunCell(cell, root, pattern, wants);
   });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -117,21 +115,15 @@ int main(int argc, char** argv) {
   // Flatten per-hour logs in [config][replication][hour] order — the
   // deterministic merge order — so exports are byte-identical at any
   // --threads.
-  if (want_trace || want_metrics) {
-    std::vector<obs::TraceLog> logs;
-    std::vector<obs::MetricsSeries> series;
-    for (auto& per_config : sweep) {
-      for (auto& rep : per_config) {
-        for (auto& log : rep.report.hour_traces) {
-          logs.push_back(std::move(log));
-        }
-        for (auto& s : rep.report.hour_metrics) {
-          series.push_back(std::move(s));
-        }
+  std::vector<obs::Captured> captures;
+  for (auto& per_config : sweep) {
+    for (auto& rep : per_config) {
+      for (auto& hour : rep.report.hour_obs) {
+        captures.push_back(std::move(hour));
       }
     }
-    bench::ExportObsLogs(args, logs, series);
   }
+  bench::ExportCaptures(args, wants, std::move(captures));
   std::printf(
       "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
       cells.size(), plan.replications, threads, sweep_seconds);

@@ -22,8 +22,6 @@
 #include "common/table.h"
 #include "hw/dvfs.h"
 #include "hw/profiles.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "obs_bench_util.h"
 #include "sim/process.h"
 #include "sim/replication.h"
@@ -41,25 +39,25 @@ struct Cell {
 struct CellResult {
   double joules = 0;
   double elapsed_s = 0;
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
+  obs::Captured obs;
 };
 
 // Runs a duty-cycled single-core load for 200 s and returns joules.
 CellResult RunDuty(const hw::HardwareProfile& profile,
                    hw::GovernorPolicy* policy, double duty,
-                   bool want_trace, bool want_metrics) {
+                   const obs::CaptureWants& wants) {
   sim::Scheduler sched;
   hw::ServerNode node(&sched, profile, 0);
-  obs::Tracer tracer;
-  obs::MetricsRegistry registry;
-  if (want_metrics) {
-    node.PublishMetrics(&registry, "node");
-    registry.Start(&sched, Seconds(1));
+  obs::Capture capture(wants);
+  obs::Tracer* tracer = capture.sinks().tracer;
+  obs::MetricsRegistry* registry = capture.sinks().metrics;
+  if (registry != nullptr) {
+    node.PublishMetrics(registry, "node");
+    registry->Start(&sched, Seconds(1));
   }
-  if (want_trace) {
-    tracer.BeginSpanAt(0, "duty", obs::Category::kApp, /*track=*/0,
-                       static_cast<std::int64_t>(100 * duty));
+  if (tracer != nullptr) {
+    tracer->BeginSpanAt(0, "duty", obs::Category::kApp, /*track=*/0,
+                        static_cast<std::int64_t>(100 * duty));
   }
   std::unique_ptr<hw::DvfsGovernor> governor;
   if (policy != nullptr) {
@@ -78,62 +76,61 @@ CellResult RunDuty(const hw::HardwareProfile& profile,
   sim::Spawn(sched, loop(node, duty));
   sched.Run(/*until=*/200.0);
   if (governor != nullptr) governor->Stop();
-  if (want_metrics) {
-    registry.Stop();
-    registry.SampleNow();
+  if (registry != nullptr) {
+    registry->Stop();
+    registry->SampleNow();
   }
-  if (want_trace) {
-    tracer.EndSpanAt(sched.now(), "duty", obs::Category::kApp,
-                     /*track=*/0, static_cast<std::int64_t>(100 * duty));
+  if (tracer != nullptr) {
+    tracer->EndSpanAt(sched.now(), "duty", obs::Category::kApp,
+                      /*track=*/0, static_cast<std::int64_t>(100 * duty));
   }
   CellResult res;
   res.joules = node.power().CumulativeJoules();
   sched.Run();
   res.elapsed_s = sched.now();
-  if (want_trace) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = registry.TakeSeries();
+  res.obs = capture.Take();
   return res;
 }
 
 // The same work on Edison: equal instructions to 0.5 duty x 200 s on one
 // Dell thread, both Edison cores busy.
-CellResult RunEdisonEqualWork(bool want_trace, bool want_metrics) {
+CellResult RunEdisonEqualWork(const obs::CaptureWants& wants) {
   const auto edison = hw::EdisonProfile();
   sim::Scheduler sched;
   hw::ServerNode node(&sched, edison, 0);
-  obs::Tracer tracer;
-  obs::MetricsRegistry registry;
-  if (want_metrics) {
-    node.PublishMetrics(&registry, "node");
-    registry.Start(&sched, Seconds(1));
+  obs::Capture capture(wants);
+  obs::Tracer* tracer = capture.sinks().tracer;
+  obs::MetricsRegistry* registry = capture.sinks().metrics;
+  if (registry != nullptr) {
+    node.PublishMetrics(registry, "node");
+    registry->Start(&sched, Seconds(1));
   }
-  if (want_trace) {
-    tracer.BeginSpanAt(0, "equal_work", obs::Category::kApp, /*track=*/0);
+  if (tracer != nullptr) {
+    tracer->BeginSpanAt(0, "equal_work", obs::Category::kApp, /*track=*/0);
   }
   // The registry must stop itself when the work completes: its periodic
   // tick would otherwise keep the scheduler alive forever under a
   // horizonless Run().
-  auto burn = [](hw::ServerNode& n, obs::MetricsRegistry* reg,
-                 bool sampling) -> sim::Process {
+  auto burn = [](hw::ServerNode& n, obs::MetricsRegistry* reg)
+      -> sim::Process {
     // Same Minstr as 0.5 duty x 200 s on one Dell thread.
     co_await n.Compute(11383.0 * 100.0 / 2.0);
     co_await n.Compute(11383.0 * 100.0 / 2.0);
-    if (sampling) {
+    if (reg != nullptr) {
       reg->Stop();
       reg->SampleNow();
     }
   };
-  sim::Spawn(sched, burn(node, &registry, want_metrics));
+  sim::Spawn(sched, burn(node, registry));
   sched.Run();
-  if (want_trace) {
-    tracer.EndSpanAt(sched.now(), "equal_work", obs::Category::kApp,
-                     /*track=*/0);
+  if (tracer != nullptr) {
+    tracer->EndSpanAt(sched.now(), "equal_work", obs::Category::kApp,
+                      /*track=*/0);
   }
   CellResult res;
   res.joules = node.power().CumulativeJoules();
   res.elapsed_s = sched.now();
-  if (want_trace) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = registry.TakeSeries();
+  res.obs = capture.Take();
   return res;
 }
 
@@ -154,17 +151,16 @@ int main(int argc, char** argv) {
   cells.push_back({Cell::kEdisonWork});
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
+  const obs::CaptureWants wants = bench::CaptureWantsFor(args);
   const auto t0 = std::chrono::steady_clock::now();
   auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
     (void)root;  // the duty cells are deterministic by construction
     if (cell.kind == Cell::kEdisonWork) {
-      return RunEdisonEqualWork(want_trace, want_metrics);
+      return RunEdisonEqualWork(wants);
     }
     hw::GovernorPolicy ondemand = hw::GovernorPolicy::kOndemand;
     return RunDuty(dell, cell.ondemand ? &ondemand : nullptr, cell.duty,
-                   want_trace, want_metrics);
+                   wants);
   });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -209,7 +205,7 @@ int main(int argc, char** argv) {
       "%.0f s vs Dell fixed-frequency %.0f J — the architectural route to "
       "efficiency dwarfs the DVFS route (paper §1).\n",
       edison_work.mean, edison_time.mean, dell_work.mean);
-  bench::ExportSweepObs(args, sweep);
+  bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
   std::printf(
       "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
       cells.size(), plan.replications, threads, sweep_seconds);

@@ -15,8 +15,6 @@
 
 #include "common/bench_args.h"
 #include "common/summary.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "obs_bench_util.h"
 #include "sim/replication.h"
 #include "web_bench_util.h"
@@ -39,12 +37,11 @@ struct CellResult {
   double error_rate = 0;
   double mean_delay_ms = 0;
   LinearHistogram hist{0.0, kHistMaxS, kHistBuckets};
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
+  obs::Captured obs;
 };
 
-CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
-                   bool want_metrics) {
+CellResult RunCell(const Cell& cell, Rng& root,
+                   const obs::CaptureWants& wants) {
   const bench::WebScale scale = cell.edison ? bench::EdisonScales().back()
                                             : bench::DellScales().back();
   web::WebTestbedConfig cfg =
@@ -52,10 +49,8 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
           ? web::EdisonWebTestbed(scale.web_servers, scale.cache_servers)
           : web::DellWebTestbed(scale.web_servers, scale.cache_servers);
   cfg.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  if (want_trace) cfg.tracer = &tracer;
-  if (want_metrics) cfg.metrics = &metrics;
+  obs::Capture capture(wants);
+  capture.AttachTo(cfg);
   web::WebExperiment exp(std::move(cfg));
   const web::OpenLoopReport r =
       exp.MeasureOpenLoop(web::HeavyMix(), kTargetRps,
@@ -66,8 +61,7 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
   res.error_rate = r.error_rate;
   res.mean_delay_ms = 1000 * r.client_delay.mean();
   res.hist = r.delay_histogram;
-  if (want_trace) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
+  res.obs = capture.Take();
   return res;
 }
 
@@ -79,11 +73,10 @@ int main(int argc, char** argv) {
 
   const std::vector<Cell> cells = {{true}, {false}};
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
+  const obs::CaptureWants wants = bench::CaptureWantsFor(args);
   const auto t0 = std::chrono::steady_clock::now();
   auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, want_trace, want_metrics);
+    return RunCell(cell, root, wants);
   });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -119,7 +112,7 @@ int main(int argc, char** argv) {
       "distribution; Dell's histogram has secondary spikes near 1, 3 and\n"
       "7 seconds (SYN retransmission backoff), because ~3000 fresh\n"
       "connections/sec funnel into only 2 servers' accept queues.\n");
-  bench::ExportSweepObs(args, sweep);
+  bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
   std::printf(
       "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
       cells.size(), plan.replications, threads, sweep_seconds);

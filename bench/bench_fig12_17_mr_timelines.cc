@@ -14,8 +14,6 @@
 
 #include "common/bench_args.h"
 #include "core/experiments.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "obs_bench_util.h"
 
 namespace {
@@ -35,11 +33,15 @@ void PrintTimeline(const std::string& title,
               "Power(W)", "Map%", "Reduce%");
   // Thin the series to ~25 printed rows.
   const std::size_t stride =
-      std::max<std::size_t>(1, result.timeline.size() / 25);
-  for (std::size_t i = 0; i < result.timeline.size(); i += stride) {
-    const auto& s = result.timeline[i];
-    std::printf("%8.0f %8.1f %8.1f %8.1f %8.1f %8.1f\n", s.time, s.cpu_pct,
-                s.memory_pct, s.power_watts, s.gauge_a, s.gauge_b);
+      std::max<std::size_t>(1, result.timeline.rows.size() / 25);
+  const obs::MetricsSeries& timeline = result.timeline;
+  for (std::size_t i = 0; i < timeline.rows.size(); i += stride) {
+    const std::vector<double>& s = timeline.rows[i];
+    std::printf("%8.0f %8.1f %8.1f %8.1f %8.1f %8.1f\n", timeline.times[i],
+                s[mapreduce::kTimelineCpuPct],
+                s[mapreduce::kTimelineMemoryPct],
+                s[mapreduce::kTimelinePowerW], s[mapreduce::kTimelineMapPct],
+                s[mapreduce::kTimelineReducePct]);
   }
   std::printf("\n");
 }
@@ -49,20 +51,16 @@ void PrintTimeline(const std::string& title,
 int main(int argc, char** argv) {
   using core::PaperJob;
   const BenchArgs args = ParseBenchArgs(argc, argv);
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  std::vector<obs::TraceLog> logs;
-  std::vector<obs::MetricsSeries> series;
+  const obs::CaptureWants wants = bench::CaptureWantsFor(args);
+  std::vector<obs::Captured> captures;
   // Runs one paper job with per-run observability capture; logs merge in
   // run order.
   auto run_job = [&](PaperJob job, mapreduce::MrClusterConfig cfg) {
-    obs::Tracer tracer;
-    obs::MetricsRegistry metrics;
-    if (want_trace) cfg.tracer = &tracer;
-    if (want_metrics) cfg.metrics = &metrics;
+    obs::Capture capture(wants);
+    cfg.tracer = capture.sinks().tracer;
+    cfg.metrics = capture.sinks().metrics;
     const auto result = core::RunPaperJob(job, std::move(cfg));
-    if (want_trace) logs.push_back(tracer.TakeLog());
-    if (want_metrics) series.push_back(metrics.TakeSeries());
+    captures.push_back(capture.Take());
     return result;
   };
 
@@ -100,6 +98,6 @@ int main(int argc, char** argv) {
       "(~45 s on Edison vs ~20 s on Dell for wordcount); wordcount2 cuts\n"
       "completion time 41%% on Edison and 69%% on Dell; pi pins CPU at\n"
       "100%% on both and is the one job where Dell wins on energy.\n");
-  bench::ExportObsLogs(args, logs, series);
+  bench::ExportCaptures(args, wants, std::move(captures));
   return 0;
 }

@@ -12,8 +12,6 @@
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "obs_bench_util.h"
 #include "sim/replication.h"
 #include "web_bench_util.h"
@@ -36,13 +34,11 @@ struct CellResult {
   double mj_per_req = 0;  // attributed, from the energy ledger
   double disp_p99_ms = 0;      // p99, service start -> completion
   double intended_p99_ms = 0;  // p99, connection intended -> completion
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
-  obs::EnergyLedger ledger;
+  obs::Captured obs;
 };
 
-CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
-                   bool want_metrics, bool want_summary) {
+CellResult RunCell(const Cell& cell, Rng& root,
+                   const obs::CaptureWants& wants) {
   web::WebTestbedConfig cfg =
       cell.scale.edison
           ? web::EdisonWebTestbed(cell.scale.web_servers,
@@ -50,26 +46,21 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
           : web::DellWebTestbed(cell.scale.web_servers,
                                 cell.scale.cache_servers);
   cfg.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::EnergyAttributor energy;
-  if (want_trace || want_summary) cfg.tracer = &tracer;
-  if (want_metrics) cfg.metrics = &metrics;
-  if (want_summary) cfg.energy = &energy;
+  obs::Capture capture(wants);
+  capture.AttachTo(cfg);
   web::WebExperiment exp(std::move(cfg));
   const web::LevelReport r = exp.MeasureClosedLoop(
       cell.mix, cell.concurrency,
       web::WebExperiment::TunedCallsPerConnection(cell.concurrency),
       bench::WarmupWindow(), bench::MeasureWindowFor(cell.concurrency));
-  CellResult res{r.achieved_rps, r.error_rate, 1000 * r.mean_response};
+  CellResult res;
+  res.rps = r.achieved_rps;
+  res.error_rate = r.error_rate;
+  res.delay_ms = 1000 * r.mean_response;
   res.disp_p99_ms = 1000 * r.p99_dispatch;
   res.intended_p99_ms = 1000 * r.p99_conn_intended;
-  if (want_trace || want_summary) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
-  if (want_summary) {
-    res.ledger = energy.TakeLedger();
-    res.mj_per_req = bench::MeanRequestMillijoules(res.ledger);
-  }
+  res.obs = capture.Take();
+  res.mj_per_req = bench::MeanRequestMillijoules(res.obs.ledger);
   return res;
 }
 
@@ -103,13 +94,12 @@ int main(int argc, char** argv) {
   }
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  const bool want_summary = !args.trace_summary_path.empty();
+  const obs::CaptureWants wants =
+      bench::CaptureWantsFor(args, /*energy=*/true);
   const auto t0 = std::chrono::steady_clock::now();
   auto sweep =
       sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-        return RunCell(cell, root, want_trace, want_metrics, want_summary);
+        return RunCell(cell, root, wants);
       });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -127,7 +117,7 @@ int main(int argc, char** argv) {
     delay.SetHeader(header);
     // Per-request attributed energy columns (one per mix) ride along
     // when the energy ledger is being filled (--trace-summary).
-    if (want_summary) {
+    if (wants.energy) {
       for (const auto& c : cases) header.push_back(c.label + " mJ/req");
     }
     rps.SetHeader(header);
@@ -150,7 +140,7 @@ int main(int argc, char** argv) {
         }
         rps_row.push_back(cell);
         delay_row.push_back(FormatMeanCI(delay_ms, 1));
-        if (want_summary) {
+        if (wants.energy) {
           const MetricSummary mj = SummarizeOver(
               reps, [](const CellResult& r) { return r.mj_per_req; });
           mj_cells.push_back(TextTable::Num(mj.mean, 2));
@@ -196,7 +186,7 @@ int main(int argc, char** argv) {
       "across these mixes, but the 1024-concurrency point drops sharply\n"
       "as image share rises, and delays roughly double even at low\n"
       "concurrency when images are in the mix.\n");
-  bench::ExportSweepObsEnergy(args, sweep);
+  bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
   std::printf(
       "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
       cells.size(), plan.replications, threads, sweep_seconds);

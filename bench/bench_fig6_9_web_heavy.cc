@@ -13,8 +13,6 @@
 #include "common/csv.h"
 #include "common/summary.h"
 #include "common/table.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "obs_bench_util.h"
 #include "sim/replication.h"
 #include "web_bench_util.h"
@@ -37,13 +35,11 @@ struct CellResult {
   double mj_per_req = 0;  // attributed, from the energy ledger
   double disp_p99_ms = 0;      // p99, service start -> completion
   double intended_p99_ms = 0;  // p99, connection intended -> completion
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
-  obs::EnergyLedger ledger;
+  obs::Captured obs;
 };
 
-CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
-                   bool want_metrics, bool want_summary) {
+CellResult RunCell(const Cell& cell, Rng& root,
+                   const obs::CaptureWants& wants) {
   web::WebTestbedConfig cfg =
       cell.scale.edison
           ? web::EdisonWebTestbed(cell.scale.web_servers,
@@ -51,27 +47,22 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
           : web::DellWebTestbed(cell.scale.web_servers,
                                 cell.scale.cache_servers);
   cfg.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::EnergyAttributor energy;
-  if (want_trace || want_summary) cfg.tracer = &tracer;
-  if (want_metrics) cfg.metrics = &metrics;
-  if (want_summary) cfg.energy = &energy;
+  obs::Capture capture(wants);
+  capture.AttachTo(cfg);
   web::WebExperiment exp(std::move(cfg));
   const web::LevelReport r = exp.MeasureClosedLoop(
       web::HeavyMix(), cell.concurrency,
       web::WebExperiment::TunedCallsPerConnection(cell.concurrency),
       bench::WarmupWindow(), bench::MeasureWindowFor(cell.concurrency));
-  CellResult res{r.achieved_rps, r.error_rate, 1000 * r.mean_response,
-                 r.middle_tier_power};
+  CellResult res;
+  res.rps = r.achieved_rps;
+  res.error_rate = r.error_rate;
+  res.delay_ms = 1000 * r.mean_response;
+  res.power = r.middle_tier_power;
   res.disp_p99_ms = 1000 * r.p99_dispatch;
   res.intended_p99_ms = 1000 * r.p99_conn_intended;
-  if (want_trace || want_summary) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
-  if (want_summary) {
-    res.ledger = energy.TakeLedger();
-    res.mj_per_req = bench::MeanRequestMillijoules(res.ledger);
-  }
+  res.obs = capture.Take();
+  res.mj_per_req = bench::MeanRequestMillijoules(res.obs.ledger);
   return res;
 }
 
@@ -93,13 +84,12 @@ int main(int argc, char** argv) {
   }
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  const bool want_summary = !args.trace_summary_path.empty();
+  const obs::CaptureWants wants =
+      bench::CaptureWantsFor(args, /*energy=*/true);
   const auto t0 = std::chrono::steady_clock::now();
   auto sweep =
       sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-        return RunCell(cell, root, want_trace, want_metrics, want_summary);
+        return RunCell(cell, root, wants);
       });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -116,7 +106,7 @@ int main(int argc, char** argv) {
   // Per-request attributed energy columns ride along when the energy
   // ledger is being filled (--trace-summary).
   const std::size_t base_columns = header.size();
-  if (want_summary) {
+  if (wants.energy) {
     header.push_back("Edison mJ/req (24)");
     header.push_back("Dell mJ/req (2)");
   }
@@ -162,7 +152,7 @@ int main(int argc, char** argv) {
           dell_peak_power = dpow;
         }
       }
-      if (want_summary) {
+      if (wants.energy) {
         const MetricSummary mj = SummarizeOver(
             reps, [](const CellResult& r) { return r.mj_per_req; });
         if (scale.label == "24 Edison") emj = mj.mean;
@@ -171,7 +161,7 @@ int main(int argc, char** argv) {
     }
     rps_row.push_back(TextTable::Num(epow, 1) + " W");
     rps_row.push_back(TextTable::Num(dpow, 1) + " W");
-    if (want_summary) {
+    if (wants.energy) {
       rps_row.push_back(TextTable::Num(emj, 2));
       rps_row.push_back(TextTable::Num(dmj, 2));
     }
@@ -222,7 +212,7 @@ int main(int argc, char** argv) {
       "half Edison cluster can no longer survive 1024 concurrency; Edison\n"
       "drops from slightly ahead of Dell to slightly behind, but the\n"
       "3.5x energy-efficiency edge persists.\n");
-  bench::ExportSweepObsEnergy(args, sweep);
+  bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
   std::printf(
       "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
       cells.size(), plan.replications, threads, sweep_seconds);

@@ -23,10 +23,6 @@
 #include "common/table.h"
 #include "hw/profiles.h"
 #include "kv/experiment.h"
-#include "obs/energy.h"
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
-#include "obs/tracer.h"
 #include "obs_bench_util.h"
 #include "sim/replication.h"
 
@@ -48,11 +44,7 @@ struct CellResult {
   double power_w = 0;
   double queries_per_joule = 0;
   double mj_per_query = 0;  // attributed, from the energy ledger
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
-  obs::EnergyLedger ledger;
-  obs::TelemetrySeries telemetry;
-  obs::AlertLog alerts;
+  obs::Captured obs;
 };
 
 kv::KvExperimentConfig BaseConfig(bool edison) {
@@ -64,27 +56,16 @@ kv::KvExperimentConfig BaseConfig(bool edison) {
   return config;
 }
 
-CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args) {
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  const bool want_summary = !args.trace_summary_path.empty();
+CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args,
+                   const obs::CaptureWants& wants) {
   kv::KvExperimentConfig config = BaseConfig(cell.edison);
   if (cell.failover) config.replication = 2;
   config.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::EnergyAttributor energy;
-  obs::Telemetry telemetry;
-  // The summary CSV is derived from the trace, so recording is on
-  // whenever either export is requested.
-  if (want_trace || want_summary) config.tracer = &tracer;
-  if (want_metrics) config.metrics = &metrics;
-  if (want_summary) config.energy = &energy;
-  if (args.WantTelemetry()) {
-    // One Telemetry per replication (sim/replication.h merge contract);
-    // the SLO bound arms the burn-rate/p99/shed rules in the experiment
+  obs::Capture capture(wants);
+  capture.AttachTo(config);
+  if (wants.telemetry) {
+    // The SLO bound arms the burn-rate/p99/shed rules in the experiment
     // wiring. Telemetry also needs a gate so sheds exist to alert on.
-    config.telemetry = &telemetry;
     if (args.slo_ms > 0) config.openloop.slo = Milliseconds(args.slo_ms);
     config.openloop.max_outstanding = 256;
     config.openloop.queue_limit = 512;
@@ -102,16 +83,8 @@ CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args) {
   res.p99_lat_ms = 1000 * r.p99_latency;
   res.power_w = r.store_power;
   res.queries_per_joule = r.queries_per_joule;
-  if (want_trace || want_summary) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
-  if (want_summary) {
-    res.ledger = energy.TakeLedger();
-    res.mj_per_query = bench::MeanRequestMillijoules(res.ledger);
-  }
-  if (args.WantTelemetry()) {
-    res.telemetry = telemetry.TakeSeries();
-    res.alerts = telemetry.TakeAlerts();
-  }
+  res.obs = capture.Take();
+  res.mj_per_query = bench::MeanRequestMillijoules(res.obs.ledger);
   return res;
 }
 
@@ -138,10 +111,11 @@ int main(int argc, char** argv) {
   cells.push_back({2000.0, /*edison=*/true, /*failover=*/true});
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_summary = !args.trace_summary_path.empty();
+  const obs::CaptureWants wants =
+      bench::CaptureWantsFor(args, /*energy=*/true, /*telemetry=*/true);
   const auto t0 = std::chrono::steady_clock::now();
   auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, args);
+    return RunCell(cell, root, args, wants);
   });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -153,7 +127,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> header{"Deployment",  "Offered qps", "Achieved",
                                   "Mean lat ms", "p99 lat ms",  "Power W",
                                   "Queries/J"};
-  if (want_summary) header.push_back("mJ/query");
+  if (wants.energy) header.push_back("mJ/query");
   table.SetHeader(header);
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const Cell& cell = cells[c];
@@ -167,7 +141,7 @@ int main(int argc, char** argv) {
         FormatMeanCI(Over(reps, &CellResult::p99_lat_ms), 2),
         FormatMeanCI(Over(reps, &CellResult::power_w), 1),
         FormatMeanCI(Over(reps, &CellResult::queries_per_joule), 0)};
-    if (want_summary) {
+    if (wants.energy) {
       row.push_back(FormatMeanCI(Over(reps, &CellResult::mj_per_query), 2));
     }
     table.AddRow(row);
@@ -196,20 +170,7 @@ int main(int argc, char** argv) {
       "throughput at a fraction of the power, so queries-per-joule is\n"
       "several-fold higher — consistent with this paper's web results;\n"
       "and the ring absorbs node failures with no visible outage.\n");
-  bench::ExportSweepObsEnergy(args, sweep);
-  if (args.WantTelemetry()) {
-    // Flattened in the same [config][replication] index order as the
-    // other exports, so --threads never changes a byte.
-    std::vector<obs::TelemetrySeries> telemetry;
-    std::vector<obs::AlertLog> alerts;
-    for (auto& per_config : sweep) {
-      for (auto& rep : per_config) {
-        telemetry.push_back(std::move(rep.telemetry));
-        alerts.push_back(std::move(rep.alerts));
-      }
-    }
-    bench::ExportTelemetryLogs(args, telemetry, alerts);
-  }
+  bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
   std::printf(
       "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
       cells.size(), plan.replications, threads, sweep_seconds);

@@ -37,21 +37,19 @@ struct CellResult {
   std::vector<core::StrategyOutcome> strategies;  // kPowerDown
 };
 
-CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
-                   bool want_metrics) {
+CellResult RunCell(const Cell& cell, Rng& root,
+                   const obs::CaptureWants& wants) {
   CellResult res;
   if (cell.kind == Cell::kCurve) {
     // Duty-cycled load on ideal hardware: deterministic, so the root
     // seed is unused and every replication is identical.
     res.curve = core::MeasureProportionality(
         cell.edison ? hw::EdisonProfile() : hw::DellR620Profile(),
-        {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
-        want_trace, want_metrics);
+        {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}, wants);
   } else {
     core::PowerDownOptions options;
     options.seed = root.Next();
-    options.capture_trace = want_trace;
-    options.capture_metrics = want_metrics;
+    options.capture = wants;
     res.strategies = core::EvaluatePowerDown(
         core::PaperJob::kWordCount2, /*edison_cluster=*/true,
         /*total_nodes=*/8, /*covering_nodes=*/4, Hours(1), {}, options);
@@ -70,11 +68,10 @@ int main(int argc, char** argv) {
                                    {Cell::kPowerDown}};
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
+  const obs::CaptureWants wants = bench::CaptureWantsFor(args);
   const auto t0 = std::chrono::steady_clock::now();
   auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, want_trace, want_metrics);
+    return RunCell(cell, root, wants);
   });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -140,25 +137,18 @@ int main(int argc, char** argv) {
   // Flatten logs in [config][replication][sub-run] order: curve cells
   // contribute one log per load point, the power-down cell one per
   // strategy run.
-  if (want_trace || want_metrics) {
-    std::vector<obs::TraceLog> logs;
-    std::vector<obs::MetricsSeries> series;
-    for (auto& per_config : sweep) {
-      for (auto& rep : per_config) {
-        for (auto& log : rep.curve.point_traces) {
-          logs.push_back(std::move(log));
-        }
-        for (auto& s : rep.curve.point_metrics) {
-          series.push_back(std::move(s));
-        }
-        for (auto& outcome : rep.strategies) {
-          if (want_trace) logs.push_back(std::move(outcome.trace));
-          if (want_metrics) series.push_back(std::move(outcome.metrics));
-        }
+  std::vector<obs::Captured> captures;
+  for (auto& per_config : sweep) {
+    for (auto& rep : per_config) {
+      for (auto& point : rep.curve.point_obs) {
+        captures.push_back(std::move(point));
+      }
+      for (auto& outcome : rep.strategies) {
+        captures.push_back(std::move(outcome.obs));
       }
     }
-    bench::ExportObsLogs(args, logs, series);
   }
+  bench::ExportCaptures(args, wants, std::move(captures));
   std::printf(
       "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
       cells.size(), plan.replications, threads, sweep_seconds);

@@ -37,9 +37,6 @@
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
-#include "obs/energy.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "obs_bench_util.h"
 #include "shard/experiment.h"
 #include "sim/replication.h"
@@ -116,20 +113,12 @@ struct CellResult {
   double migration_mb = 0;
   double migration_s = 0;
   std::uint64_t events = 0;
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
-  obs::EnergyLedger ledger;
+  obs::Captured obs;
   std::vector<std::string> trace_prefix;  // --determinism only
 };
 
-struct Wants {
-  bool trace = false;
-  bool metrics = false;
-  bool summary = false;
-  bool determinism = false;
-};
-
-CellResult RunCell(const Cell& cell, Rng& root, const Wants& wants) {
+CellResult RunCell(const Cell& cell, Rng& root,
+                   const obs::CaptureWants& wants, bool determinism) {
   shard::ShardExperimentConfig config;
   config.racks = cell.racks;
   config.nodes_per_rack = cell.nodes_per_rack;
@@ -138,14 +127,10 @@ CellResult RunCell(const Cell& cell, Rng& root, const Wants& wants) {
   config.get_fraction = cell.get_fraction;
   config.churn = cell.churn;
   config.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::EnergyAttributor energy;
-  if (wants.trace || wants.summary || wants.determinism) {
-    config.tracer = &tracer;
-  }
-  if (wants.metrics) config.metrics = &metrics;
-  if (wants.summary) config.energy = &energy;
+  obs::CaptureWants cell_wants = wants;
+  cell_wants.trace |= determinism;  // the prefix reads the trace
+  obs::Capture capture(cell_wants);
+  capture.AttachTo(config);
   shard::ShardExperiment exp(std::move(config));
   const shard::ShardReport r =
       exp.Measure(cell.qps, Seconds(kMeasureSeconds));
@@ -167,13 +152,9 @@ CellResult RunCell(const Cell& cell, Rng& root, const Wants& wants) {
       (1024.0 * 1024.0);
   res.migration_s = r.migration.done ? r.migration.duration() : 0.0;
   res.events = r.executed_events;
-  if (wants.trace || wants.summary) res.trace = tracer.TakeLog();
-  if (wants.metrics) res.metrics = metrics.TakeSeries();
-  if (wants.summary) res.ledger = energy.TakeLedger();
-  if (wants.determinism) {
-    const obs::TraceLog log = (wants.trace || wants.summary)
-                                  ? std::move(res.trace)
-                                  : tracer.TakeLog();
+  res.obs = capture.Take();
+  if (determinism) {
+    const obs::TraceLog& log = res.obs.trace;
     const std::size_t prefix = std::min<std::size_t>(log.events.size(), 32);
     for (std::size_t i = 0; i < prefix; ++i) {
       const obs::TraceEvent& e = log.events[i];
@@ -189,6 +170,7 @@ CellResult RunCell(const Cell& cell, Rng& root, const Wants& wants) {
     }
     res.trace_prefix.push_back(
         "trace_events=" + std::to_string(log.events.size()));
+    if (!wants.trace) res.obs.trace = {};  // nothing exports it
   }
   return res;
 }
@@ -222,16 +204,13 @@ int main(int argc, char** argv) {
   const int threads = ResolvedThreads(args);
 
   const std::vector<Cell> cells = BuildCells();
-  Wants wants;
-  wants.trace = !args.trace_path.empty();
-  wants.metrics = !args.metrics_path.empty();
-  wants.summary = !args.trace_summary_path.empty();
-  wants.determinism = determinism;
+  const obs::CaptureWants wants =
+      bench::CaptureWantsFor(args, /*energy=*/true);
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
   const auto t0 = std::chrono::steady_clock::now();
   auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, wants);
+    return RunCell(cell, root, wants, determinism);
   });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -291,7 +270,7 @@ int main(int argc, char** argv) {
       "the rack uplinks and\nbends the goodput curve while p99 blows out; "
       "a join/leave mid-run streams\nits shards over the same fabric and "
       "commits with zero failed requests.\n");
-  bench::ExportSweepObsEnergy(args, sweep);
+  bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
   std::printf(
       "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
       cells.size(), plan.replications, threads, sweep_seconds);

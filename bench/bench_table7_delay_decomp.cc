@@ -18,9 +18,6 @@
 #include "common/csv.h"
 #include "common/summary.h"
 #include "common/table.h"
-#include "obs/energy.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "obs_bench_util.h"
 #include "sim/replication.h"
 #include "web_bench_util.h"
@@ -39,13 +36,11 @@ struct CellResult {
   double cache_ms = 0;
   double total_ms = 0;
   double mj_per_req = 0;  // attributed, from the energy ledger
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
-  obs::EnergyLedger ledger;
+  obs::Captured obs;
 };
 
-CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
-                   bool want_metrics, bool want_summary) {
+CellResult RunCell(const Cell& cell, Rng& root,
+                   const obs::CaptureWants& wants) {
   web::WebTestbedConfig cfg =
       cell.scale.edison
           ? web::EdisonWebTestbed(cell.scale.web_servers,
@@ -53,12 +48,8 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
           : web::DellWebTestbed(cell.scale.web_servers,
                                 cell.scale.cache_servers);
   cfg.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::EnergyAttributor energy;
-  if (want_trace || want_summary) cfg.tracer = &tracer;
-  if (want_metrics) cfg.metrics = &metrics;
-  if (want_summary) cfg.energy = &energy;
+  obs::Capture capture(wants);
+  capture.AttachTo(cfg);
   web::WebExperiment exp(std::move(cfg));
   const web::OpenLoopReport r =
       exp.MeasureOpenLoop(web::HeavyMix(), cell.rate,
@@ -67,12 +58,8 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
   res.db_ms = 1000 * r.db_delay.mean();
   res.cache_ms = 1000 * r.cache_delay.mean();
   res.total_ms = 1000 * r.total_delay.mean();
-  if (want_trace || want_summary) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
-  if (want_summary) {
-    res.ledger = energy.TakeLedger();
-    res.mj_per_req = bench::MeanRequestMillijoules(res.ledger);
-  }
+  res.obs = capture.Take();
+  res.mj_per_req = bench::MeanRequestMillijoules(res.obs.ledger);
   return res;
 }
 
@@ -91,13 +78,12 @@ int main(int argc, char** argv) {
   }
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  const bool want_summary = !args.trace_summary_path.empty();
+  const obs::CaptureWants wants =
+      bench::CaptureWantsFor(args, /*energy=*/true);
   const auto t0 = std::chrono::steady_clock::now();
   auto sweep =
       sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-        return RunCell(cell, root, want_trace, want_metrics, want_summary);
+        return RunCell(cell, root, wants);
       });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -109,7 +95,7 @@ int main(int argc, char** argv) {
   // being filled (--trace-summary).
   std::vector<std::string> header{"# Request/s", "Database delay",
                                   "Cache delay", "Total"};
-  if (want_summary) header.push_back("mJ/req");
+  if (wants.energy) header.push_back("mJ/req");
   table.SetHeader(header);
 
   int cell_idx = 0;
@@ -130,7 +116,7 @@ int main(int argc, char** argv) {
                                  pair(&CellResult::db_ms),
                                  pair(&CellResult::cache_ms),
                                  pair(&CellResult::total_ms)};
-    if (want_summary) row.push_back(pair(&CellResult::mj_per_req));
+    if (wants.energy) row.push_back(pair(&CellResult::mj_per_req));
     table.AddRow(row);
   }
   table.Print();
@@ -142,7 +128,7 @@ int main(int argc, char** argv) {
       " 7680: db (10.99, 1.98) cache (212.0, 0.74) total (225.1, 2.93)\n"
       "Shape: Edison cache delay grows ~45x over this range while its DB\n"
       "delay merely doubles; Dell's stays flat throughout.\n");
-  bench::ExportSweepObsEnergy(args, sweep);
+  bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
   std::printf(
       "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
       cells.size(), plan.replications, threads, sweep_seconds);

@@ -1,89 +1,45 @@
 // Shared observability plumbing for the sweep benches (--trace/--metrics/
-// --trace-summary; see docs/observability.md).
+// --trace-summary/--telemetry/--alerts; see docs/observability.md).
 //
-// A bench that supports export gives its per-replication result struct
-// `obs::TraceLog trace` and `obs::MetricsSeries metrics` members, fills
-// them from per-replication Tracer/MetricsRegistry instances inside its
-// RunCell, and calls ExportSweepObs(args, sweep) after the sweep. Logs
-// are flattened in [config][replication] index order — the same merge
-// order RunSweep guarantees for results — so exports are byte-identical
-// at any --threads.
-//
-// Benches that additionally attribute energy to spans give the result
-// struct an `obs::EnergyLedger ledger` member (from
-// EnergyAttributor::TakeLedger()) and call ExportSweepObsEnergy instead;
-// that variant also renders the --trace-summary per-trace roll-up CSV.
+// A bench that supports export derives the sinks it wants from its flags
+// (CaptureWantsFor), runs each replication under one obs::Capture, keeps
+// the moved-out obs::Captured in its per-replication result, and hands
+// every capture to ExportCaptures after the sweep. Captures are
+// flattened in [config][replication] index order — the same merge order
+// RunSweep guarantees for results — so exports are byte-identical at any
+// --threads.
 #ifndef WIMPY_BENCH_OBS_BENCH_UTIL_H_
 #define WIMPY_BENCH_OBS_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/bench_args.h"
+#include "obs/capture.h"
 #include "obs/critical_path.h"
 #include "obs/export.h"
 
 namespace wimpy::bench {
 
-// Writes already-flattened logs/series to the paths in `args` (used by
-// serial benches that collect one log per run).
-inline void ExportObsLogs(const BenchArgs& args,
-                          const std::vector<obs::TraceLog>& logs,
-                          const std::vector<obs::MetricsSeries>& series) {
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  if (want_trace) {
-    const Status st = obs::WriteChromeTrace(logs, args.trace_path);
-    if (st.ok()) {
-      std::printf("Trace written to %s (load at ui.perfetto.dev)\n",
-                  args.trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "trace export failed: %s\n",
-                   st.message().c_str());
-    }
-  }
-  if (want_metrics) {
-    const Status st = obs::WriteMetricsCsv(series, args.metrics_path);
-    if (st.ok()) {
-      std::printf("Metrics written to %s\n", args.metrics_path.c_str());
-    } else {
-      std::fprintf(stderr, "metrics export failed: %s\n",
-                   st.message().c_str());
-    }
-  }
-}
-
-// Writes already-flattened telemetry rollup series / alert logs to the
-// --telemetry / --alerts paths (docs/telemetry.md). A bench that supports
-// the telemetry plane gives its per-replication result struct
-// `obs::TelemetrySeries telemetry` and `obs::AlertLog alerts` members
-// (from Telemetry::TakeSeries()/TakeAlerts()) and flattens them in the
-// same [config][replication] index order as the other exports, so both
-// CSVs are byte-identical at any --threads.
-inline void ExportTelemetryLogs(const BenchArgs& args,
-                                const std::vector<obs::TelemetrySeries>& series,
-                                const std::vector<obs::AlertLog>& alerts) {
-  if (!args.telemetry_path.empty()) {
-    const Status st = obs::WriteTelemetryCsv(series, args.telemetry_path);
-    if (st.ok()) {
-      std::printf("Telemetry written to %s\n", args.telemetry_path.c_str());
-    } else {
-      std::fprintf(stderr, "telemetry export failed: %s\n",
-                   st.message().c_str());
-    }
-  }
-  if (!args.alerts_path.empty()) {
-    const Status st = obs::WriteAlertsCsv(alerts, args.alerts_path);
-    if (st.ok()) {
-      std::printf("Alerts written to %s\n", args.alerts_path.c_str());
-    } else {
-      std::fprintf(stderr, "alerts export failed: %s\n",
-                   st.message().c_str());
-    }
-  }
+// The sinks a bench's flags ask for. Benches that attribute energy to
+// spans pass `energy`: --trace-summary then turns on the attributor and
+// the tracer its roll-up reads. Benches with the online telemetry plane
+// pass `telemetry`: --telemetry/--alerts then turn it on. Other benches
+// ignore those flags.
+inline obs::CaptureWants CaptureWantsFor(const BenchArgs& args,
+                                         bool energy = false,
+                                         bool telemetry = false) {
+  obs::CaptureWants wants;
+  wants.energy = energy && !args.trace_summary_path.empty();
+  wants.trace = !args.trace_path.empty() || wants.energy;
+  wants.metrics = !args.metrics_path.empty();
+  wants.telemetry = telemetry && args.WantTelemetry();
+  return wants;
 }
 
 // Mean attributed millijoules per request in a replication's ledger:
@@ -105,53 +61,54 @@ inline double MeanRequestMillijoules(const obs::EnergyLedger& ledger) {
   return 1000 * joules / static_cast<double>(traces.size());
 }
 
+// Moves every replication's `obs` capture out of a sweep, in
+// [config][replication] order.
 template <typename Sweep>
-void ExportSweepObs(const BenchArgs& args, Sweep& sweep) {
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  if (!want_trace && !want_metrics) return;
-  std::vector<obs::TraceLog> logs;
-  std::vector<obs::MetricsSeries> series;
+std::vector<obs::Captured> SweepCaptures(Sweep& sweep) {
+  std::vector<obs::Captured> captures;
   for (auto& per_config : sweep) {
-    for (auto& rep : per_config) {
-      if (want_trace) logs.push_back(std::move(rep.trace));
-      if (want_metrics) series.push_back(std::move(rep.metrics));
-    }
+    for (auto& rep : per_config) captures.push_back(std::move(rep.obs));
   }
-  ExportObsLogs(args, logs, series);
+  return captures;
 }
 
-// Like ExportSweepObs but also handles --trace-summary: the per-trace
-// roll-up (critical-path latency + attributed joules) needs both the
-// trace logs and the per-replication energy ledgers, so logs are always
-// collected when a summary is requested — even without --trace.
-template <typename Sweep>
-void ExportSweepObsEnergy(const BenchArgs& args, Sweep& sweep) {
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  const bool want_summary = !args.trace_summary_path.empty();
-  if (!want_trace && !want_metrics && !want_summary) return;
+// Prints "<What> written to <path>", or the failure on stderr.
+inline void ReportExport(const Status& st, const char* what,
+                         const std::string& path, const char* note = "") {
+  if (st.ok()) {
+    std::printf("%s written to %s%s\n", what, path.c_str(), note);
+  } else {
+    std::fprintf(stderr, "%c%s export failed: %s\n",
+                 std::tolower(static_cast<unsigned char>(what[0])), what + 1,
+                 st.message().c_str());
+  }
+}
+
+// Writes the exports `wants` enabled: the --trace-summary per-trace
+// roll-up (critical-path latency + attributed joules, and the --slo-ms
+// line), the trace, the metrics, then the telemetry rollups and alerts.
+inline void ExportCaptures(const BenchArgs& args,
+                           const obs::CaptureWants& wants,
+                           std::vector<obs::Captured> captures) {
   std::vector<obs::TraceLog> logs;
   std::vector<obs::MetricsSeries> series;
   std::vector<obs::EnergyLedger> ledgers;
-  for (auto& per_config : sweep) {
-    for (auto& rep : per_config) {
-      if (want_trace || want_summary) logs.push_back(std::move(rep.trace));
-      if (want_metrics) series.push_back(std::move(rep.metrics));
-      if (want_summary) ledgers.push_back(std::move(rep.ledger));
+  std::vector<obs::TelemetrySeries> telemetry;
+  std::vector<obs::AlertLog> alerts;
+  for (obs::Captured& c : captures) {
+    if (wants.trace) logs.push_back(std::move(c.trace));
+    if (wants.metrics) series.push_back(std::move(c.metrics));
+    if (wants.energy) ledgers.push_back(std::move(c.ledger));
+    if (wants.telemetry) {
+      telemetry.push_back(std::move(c.telemetry));
+      alerts.push_back(std::move(c.alerts));
     }
   }
-  if (want_summary) {
+  if (wants.energy) {
     const Duration slo = Milliseconds(args.slo_ms);
-    const Status st = obs::WriteTraceSummaryCsv(
-        logs, ledgers, args.trace_summary_path, slo);
-    if (st.ok()) {
-      std::printf("Trace summary written to %s\n",
-                  args.trace_summary_path.c_str());
-    } else {
-      std::fprintf(stderr, "trace summary export failed: %s\n",
-                   st.message().c_str());
-    }
+    ReportExport(obs::WriteTraceSummaryCsv(logs, ledgers,
+                                           args.trace_summary_path, slo),
+                 "Trace summary", args.trace_summary_path);
     if (slo > 0.0) {
       // The --slo-ms roll-up, re-derived from exports alone so it can be
       // cross-checked against any live report (docs/openloop.md).
@@ -164,8 +121,22 @@ void ExportSweepObsEnergy(const BenchArgs& args, Sweep& sweep) {
           s.window_joules);
     }
   }
-  if (!want_trace) logs.clear();  // summary-only run: skip the JSON export
-  ExportObsLogs(args, logs, series);
+  if (!args.trace_path.empty()) {
+    ReportExport(obs::WriteChromeTrace(logs, args.trace_path), "Trace",
+                 args.trace_path, " (load at ui.perfetto.dev)");
+  }
+  if (!args.metrics_path.empty()) {
+    ReportExport(obs::WriteMetricsCsv(series, args.metrics_path), "Metrics",
+                 args.metrics_path);
+  }
+  if (wants.telemetry && !args.telemetry_path.empty()) {
+    ReportExport(obs::WriteTelemetryCsv(telemetry, args.telemetry_path),
+                 "Telemetry", args.telemetry_path);
+  }
+  if (wants.telemetry && !args.alerts_path.empty()) {
+    ReportExport(obs::WriteAlertsCsv(alerts, args.alerts_path), "Alerts",
+                 args.alerts_path);
+  }
 }
 
 }  // namespace wimpy::bench

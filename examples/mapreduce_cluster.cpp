@@ -50,12 +50,14 @@ int main(int argc, char** argv) {
   std::printf("%8s %8s %8s %10s %8s %8s\n", "t(s)", "CPU%", "Mem%",
               "Power(W)", "Map%", "Reduce%");
   const std::size_t stride =
-      std::max<std::size_t>(1, result.timeline.size() / 30);
-  for (std::size_t i = 0; i < result.timeline.size(); i += stride) {
-    const auto& s = result.timeline[i];
-    std::printf("%8.0f %8.1f %8.1f %10.1f %8.1f %8.1f\n", s.time,
-                s.cpu_pct, s.memory_pct, s.power_watts, s.gauge_a,
-                s.gauge_b);
+      std::max<std::size_t>(1, result.timeline.rows.size() / 30);
+  for (std::size_t i = 0; i < result.timeline.rows.size(); i += stride) {
+    const std::vector<double>& s = result.timeline.rows[i];
+    std::printf("%8.0f %8.1f %8.1f %10.1f %8.1f %8.1f\n",
+                result.timeline.times[i], s[mapreduce::kTimelineCpuPct],
+                s[mapreduce::kTimelineMemoryPct],
+                s[mapreduce::kTimelinePowerW], s[mapreduce::kTimelineMapPct],
+                s[mapreduce::kTimelineReducePct]);
   }
   return 0;
 }

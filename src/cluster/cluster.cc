@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "obs/metrics.h"
+
 namespace wimpy::cluster {
 
 Cluster::Cluster(sim::Scheduler* sched, net::Fabric* fabric)
@@ -103,6 +105,19 @@ double Cluster::MeanStorageBusy(const std::string& role) const {
   double sum = 0;
   for (auto* node : nodes) sum += node->storage().busy_fraction();
   return sum / static_cast<double>(nodes.size());
+}
+
+void Cluster::PublishRoleMetrics(obs::MetricsRegistry* registry,
+                                 const std::string& role) {
+  registry->AddGauge(role + ".cpu_pct",
+                     [this, role] { return 100.0 * MeanCpuBusy(role); });
+  registry->AddGauge(role + ".memory_pct",
+                     [this, role] { return 100.0 * MeanMemoryUsed(role); });
+  // The role list is built once, not per sample.
+  registry->AddGauge(role + ".power_w",
+                     [this, roles = std::vector<std::string>{role}] {
+                       return TotalWatts(roles);
+                     });
 }
 
 }  // namespace wimpy::cluster

@@ -14,6 +14,10 @@
 #include "net/fabric.h"
 #include "sim/scheduler.h"
 
+namespace wimpy::obs {
+class MetricsRegistry;
+}  // namespace wimpy::obs
+
 namespace wimpy::cluster {
 
 class Cluster {
@@ -51,6 +55,12 @@ class Cluster {
   double MeanNicBusy(const std::string& role) const;
   // Mean storage-channel busy fraction across a role.
   double MeanStorageBusy(const std::string& role) const;
+
+  // The paper's psutil view of a role (§5, Figures 12-17): gauges
+  // `<role>.cpu_pct` and `<role>.memory_pct` (means across the role, in
+  // percent) and `<role>.power_w` (the role's aggregate watts).
+  void PublishRoleMetrics(obs::MetricsRegistry* registry,
+                          const std::string& role);
 
   sim::Scheduler& scheduler() { return *sched_; }
   net::Fabric& fabric() { return *fabric_; }

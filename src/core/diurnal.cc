@@ -16,8 +16,8 @@ double DiurnalPattern::RateAt(double hour) const {
 
 DailyReport MeasureDailyEnergy(const web::WebTestbedConfig& config,
                                const DiurnalPattern& pattern,
-                               int samples, bool capture_trace,
-                               bool capture_metrics) {
+                               int samples,
+                               const obs::CaptureWants& wants) {
   DailyReport report;
   samples = std::max(1, samples);
   const double hours_per_sample = 24.0 / samples;
@@ -26,23 +26,17 @@ DailyReport MeasureDailyEnergy(const web::WebTestbedConfig& config,
     const double hour = (i + 0.5) * hours_per_sample;
     const double rate = pattern.RateAt(hour);
 
-    // Per-hour sinks: each hour's testbed registers fresh probes, so the
-    // registry must not outlive its hour (stale probes would dangle).
-    obs::Tracer tracer;
-    obs::MetricsRegistry registry;
+    // Per-hour sinks: each hour's testbed registers fresh probes.
+    obs::Capture capture(wants);
     web::WebTestbedConfig hour_config = config;
-    hour_config.tracer = capture_trace ? &tracer : nullptr;
-    hour_config.metrics = capture_metrics ? &registry : nullptr;
+    capture.AttachTo(hour_config);
 
     web::WebExperiment experiment(hour_config);
     // Closed-loop at the hour's offered load; short window, scaled up.
     const double concurrency = std::max(1.0, rate / 10.0);
     const web::LevelReport level = experiment.MeasureClosedLoop(
         web::LightMix(), concurrency, 10, Seconds(2), Seconds(8));
-    if (capture_trace) report.hour_traces.push_back(tracer.TakeLog());
-    if (capture_metrics) {
-      report.hour_metrics.push_back(registry.TakeSeries());
-    }
+    report.hour_obs.push_back(capture.Take());
 
     HourlyEnergy entry;
     entry.hour = hour;

@@ -13,8 +13,7 @@
 #include <vector>
 
 #include "common/units.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
+#include "obs/capture.h"
 #include "web/service.h"
 
 namespace wimpy::core {
@@ -40,25 +39,21 @@ struct DailyReport {
   Joules daily_joules = 0;
   double daily_requests = 0;
   double requests_per_joule = 0;
-  // Per-sampled-hour observability capture (hour order), populated only
-  // when requested. Every hour runs on a fresh testbed whose simulated
-  // clock restarts at zero, so each hour keeps its own log — exporters
-  // emit them as separate trace pids / metric series rather than
-  // concatenating timelines.
-  std::vector<obs::TraceLog> hour_traces;
-  std::vector<obs::MetricsSeries> hour_metrics;
+  // Per-sampled-hour observability capture (hour order; empty logs for
+  // sinks not wanted). Every hour runs on a fresh testbed whose
+  // simulated clock restarts at zero, so each hour keeps its own log —
+  // exporters emit them as separate trace pids / metric series rather
+  // than concatenating timelines.
+  std::vector<obs::Captured> hour_obs;
 };
 
 // Samples the day at `samples` evenly spaced hours, runs each as a short
-// closed-loop measurement on a fresh testbed, and scales to 24 h. Any
-// tracer/metrics sinks in `config` are ignored; when `capture_trace` /
-// `capture_metrics` is set, per-hour sinks are created internally (fresh
-// probes per testbed) and their logs returned in the report.
+// closed-loop measurement on a fresh testbed, and scales to 24 h. The
+// sinks in `config` are ignored; each hour captures its own `wants`.
 DailyReport MeasureDailyEnergy(const web::WebTestbedConfig& config,
                                const DiurnalPattern& pattern,
                                int samples = 8,
-                               bool capture_trace = false,
-                               bool capture_metrics = false);
+                               const obs::CaptureWants& wants = {});
 
 }  // namespace wimpy::core
 

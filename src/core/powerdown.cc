@@ -38,15 +38,11 @@ std::vector<StrategyOutcome> EvaluatePowerDown(PaperJob job,
   auto run_strategy = [&](int nodes, StrategyOutcome* outcome) {
     mapreduce::MrClusterConfig config = config_for(nodes);
     if (options.seed != 0) config.seed = options.seed;
-    obs::Tracer tracer;
-    obs::MetricsRegistry registry;
-    if (options.capture_trace) config.tracer = &tracer;
-    if (options.capture_metrics) config.metrics = &registry;
+    obs::Capture capture(options.capture);
+    config.tracer = capture.sinks().tracer;
+    config.metrics = capture.sinks().metrics;
     const auto run = RunPaperJob(job, std::move(config));
-    if (options.capture_trace) outcome->trace = tracer.TakeLog();
-    if (options.capture_metrics) {
-      outcome->metrics = registry.TakeSeries();
-    }
+    outcome->obs = capture.Take();
     return run;
   };
   const hw::HardwareProfile profile =

@@ -19,8 +19,7 @@
 #include <vector>
 
 #include "core/experiments.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
+#include "obs/capture.h"
 
 namespace wimpy::core {
 
@@ -38,19 +37,17 @@ struct StrategyOutcome {
   Duration makespan = 0;        // job time + transitions
   Joules cluster_joules = 0;    // active nodes + transition energy
   double work_done_per_joule = 0;  // input MB / joules (0 if no input)
-  // Observability capture for this strategy's MapReduce run (empty
-  // unless requested via PowerDownOptions). Each strategy runs its own
+  // Observability capture for this strategy's MapReduce run (trace and
+  // metrics, as PowerDownOptions asks). Each strategy runs its own
   // testbed, so each outcome keeps its own log.
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
+  obs::Captured obs;
 };
 
 struct PowerDownOptions {
   // Seed applied to every strategy's cluster config; 0 keeps the
   // config's built-in default, preserving existing golden outputs.
   std::uint64_t seed = 0;
-  bool capture_trace = false;
-  bool capture_metrics = false;
+  obs::CaptureWants capture;
 };
 
 // Evaluates one batch job arriving at an idle, fully powered-down cluster

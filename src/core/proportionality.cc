@@ -40,7 +40,7 @@ sim::Process DriveLoad(hw::ServerNode& node, double load,
 
 ProportionalityReport MeasureProportionality(
     const hw::HardwareProfile& profile, const std::vector<double>& loads,
-    bool capture_trace, bool capture_metrics) {
+    const obs::CaptureWants& wants) {
   ProportionalityReport report;
   report.idle_power = profile.power.idle;
   report.busy_power = profile.power.busy;
@@ -53,28 +53,28 @@ ProportionalityReport MeasureProportionality(
   for (double load : loads) {
     sim::Scheduler sched;
     hw::ServerNode node(&sched, profile, 0);
-    // Per-point sinks: each point's node registers fresh probes, so the
-    // registry must not outlive its scheduler.
-    obs::Tracer tracer;
-    obs::MetricsRegistry registry;
-    if (capture_metrics) {
-      node.PublishMetrics(&registry, "node");
-      registry.Start(&sched, Seconds(1));
+    // Per-point sinks: each point's node registers fresh probes.
+    obs::Capture capture(wants);
+    obs::MetricsRegistry* registry = capture.sinks().metrics;
+    obs::Tracer* tracer = capture.sinks().tracer;
+    if (registry != nullptr) {
+      node.PublishMetrics(registry, "node");
+      registry->Start(&sched, Seconds(1));
     }
-    if (capture_trace) {
-      tracer.BeginSpanAt(0, "load_point", obs::Category::kApp,
-                         /*track=*/0, point_index);
+    if (tracer != nullptr) {
+      tracer->BeginSpanAt(0, "load_point", obs::Category::kApp,
+                          /*track=*/0, point_index);
     }
     sim::Spawn(sched, DriveLoad(node, std::clamp(load, 0.0, 1.0),
                                 kWindow));
     sched.Run(kWindow);
-    if (capture_metrics) {
-      registry.Stop();
-      registry.SampleNow();
+    if (registry != nullptr) {
+      registry->Stop();
+      registry->SampleNow();
     }
-    if (capture_trace) {
-      tracer.EndSpanAt(sched.now(), "load_point", obs::Category::kApp,
-                       /*track=*/0, point_index);
+    if (tracer != nullptr) {
+      tracer->EndSpanAt(sched.now(), "load_point", obs::Category::kApp,
+                        /*track=*/0, point_index);
     }
     PowerCurvePoint point;
     point.load = load;
@@ -84,10 +84,7 @@ ProportionalityReport MeasureProportionality(
     gap_sum += point.normalized - load *
         (profile.power.busy - 0) / profile.power.busy;
     sched.Run();
-    if (capture_trace) report.point_traces.push_back(tracer.TakeLog());
-    if (capture_metrics) {
-      report.point_metrics.push_back(registry.TakeSeries());
-    }
+    report.point_obs.push_back(capture.Take());
     ++point_index;
   }
   report.proportionality_gap =

@@ -18,8 +18,7 @@
 
 #include "common/units.h"
 #include "hw/profile.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
+#include "obs/capture.h"
 
 namespace wimpy::core {
 
@@ -36,23 +35,21 @@ struct ProportionalityReport {
   double ep_coefficient = 0;  // 1 ideal, 0 constant-power
   Watts idle_power = 0;
   Watts busy_power = 0;
-  // Per-load-point observability capture (curve order), populated only
-  // when requested. Each load point runs on a fresh scheduler whose
+  // Per-load-point observability capture (curve order; empty logs for
+  // sinks not wanted). Each load point runs on a fresh scheduler whose
   // clock restarts at zero, so each keeps its own log.
-  std::vector<obs::TraceLog> point_traces;
-  std::vector<obs::MetricsSeries> point_metrics;
+  std::vector<obs::Captured> point_obs;
 };
 
 // Measures the node's power at each load level by running duty-cycled CPU
-// work on the simulated hardware and integrating joules. When
-// `capture_trace` / `capture_metrics` is set, each load point records a
-// "load_point" span plus per-second `node.*` probe samples into the
-// report's per-point logs.
+// work on the simulated hardware and integrating joules. With
+// `wants.trace` / `wants.metrics`, each load point records a "load_point"
+// span plus per-second `node.*` probe samples into its capture.
 ProportionalityReport MeasureProportionality(
     const hw::HardwareProfile& profile,
     const std::vector<double>& loads = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                         0.6, 0.7, 0.8, 0.9, 1.0},
-    bool capture_trace = false, bool capture_metrics = false);
+    const obs::CaptureWants& wants = {});
 
 }  // namespace wimpy::core
 

@@ -11,17 +11,17 @@
 #include "hw/profile.h"
 #include "kv/store.h"
 #include "load/openloop.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-
-namespace wimpy::obs {
-class EnergyAttributor;
-class Telemetry;
-}  // namespace wimpy::obs
+#include "obs/sinks.h"
 
 namespace wimpy::kv {
 
-struct KvExperimentConfig {
+// Observability sinks come from the obs::Sinks base (obs/sinks.h,
+// docs/observability.md). Tracing samples queries; metrics cover the
+// store nodes (`kv<i>.*`) and links; energy observes the store tier, so
+// the ledger's window subtotal is the energy queries_per_joule divides
+// by; telemetry adds per-store probes, the SLO stream, default rules
+// (when `openloop.slo > 0`) and NodeHealth.
+struct KvExperimentConfig : obs::Sinks {
   hw::HardwareProfile node_profile;
   int node_count = 8;
   int client_machines = 4;  // Dell-class load generators
@@ -32,30 +32,6 @@ struct KvExperimentConfig {
   // Nodes failed mid-run by FailNodes(); reads/writes route to the next
   // healthy successor.
   std::uint64_t seed = 20090101;  // FAWN's year
-  // Observability sinks (optional; null = zero overhead, identical
-  // simulated behaviour). The tracer records a "query" span for
-  // 1-in-`trace_sample_every` queries; the registry samples per-store
-  // node probes (`kv<i>.*`) and fabric link probes once per simulated
-  // second for the duration of the measurement window.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  int trace_sample_every = 64;
-  // Online telemetry plane (obs/telemetry.h; null = zero overhead). When
-  // set, a Measure call wires: per-store `kv<i>.cpu_busy|power_w` probes,
-  // the recorder's SLO stream into `slo.*` instruments, a
-  // `gate.queue_depth` probe, default alert rules (SLO burn rate over
-  // 2 s/8 s windows, shed-rate spike, p99-over-SLO — installed only when
-  // `openloop.slo > 0`), and an obs::NodeHealth scorer whose per-node
-  // gauges land in `metrics` under `health.*` and on the trace as
-  // kHealth instants. One Telemetry per Measure call (instrument names
-  // are registered fresh each run). Borrowed; must outlive the call.
-  obs::Telemetry* telemetry = nullptr;
-  // Optional span-energy attribution over the store tier (obs/energy.h):
-  // sampled query trees carry joules-per-span, and the ledger's window
-  // subtotal equals the store-tier energy the report divides by for
-  // queries_per_joule (the golden test re-derives that quotient from the
-  // trace + ledger alone). Borrowed; may be null.
-  obs::EnergyAttributor* energy = nullptr;
   // Open-loop load shape (docs/openloop.md): arrival model/burstiness,
   // client-side admission gate, SLO bound. `openloop.arrival.rate` is
   // overridden by the per-run target qps. The default (Poisson, unbounded,

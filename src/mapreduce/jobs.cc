@@ -19,18 +19,22 @@ constexpr double kDellWarmLogEff = 0.50;
 constexpr double kDellPiEff = 0.70;    // arithmetic-heavy, closer to Dhrystone
 constexpr double kDellSortEff = 0.40;  // memory-bound sort/merge
 
-bool IsEdison(const MrClusterConfig& config) {
-  return config.slave_profile.name == "edison";
+// Container sizes follow the cluster's YARN tuning, not the slave
+// hardware's name: a node with under 1 GB of container memory (the
+// §5.2 Edison tuning, 600 MB) gets the Edison sizes, so any small board
+// on an Edison-tuned cluster requests containers that fit.
+bool SmallContainers(const MrClusterConfig& config) {
+  return config.yarn.node_usable_memory < GB(1);
 }
 
 Bytes MapMemSmall(const MrClusterConfig& config) {
-  return IsEdison(config) ? MB(150) : MB(500);
+  return SmallContainers(config) ? MB(150) : MB(500);
 }
 Bytes MapMemLarge(const MrClusterConfig& config) {
-  return IsEdison(config) ? MB(300) : GB(1);
+  return SmallContainers(config) ? MB(300) : GB(1);
 }
 Bytes ReduceMem(const MrClusterConfig& config) {
-  return IsEdison(config) ? MB(300) : GB(1);
+  return SmallContainers(config) ? MB(300) : GB(1);
 }
 
 }  // namespace

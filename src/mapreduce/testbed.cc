@@ -36,7 +36,10 @@ MrClusterConfig DellMrCluster(int slaves) {
 }
 
 MrTestbed::MrTestbed(const MrClusterConfig& config)
-    : config_(config), fabric_(&sched_), cluster_(&sched_, &fabric_) {
+    : config_(config),
+      fabric_(&sched_),
+      cluster_(&sched_, &fabric_),
+      sinks_({.tracer = config.tracer, .metrics = config.metrics}, &sched_) {
   // The hybrid deployment: a Dell master holds namenode + RM (excluded
   // from energy accounting); the slaves run the data/compute planes.
   cluster_.AddNodes(hw::DellR620Profile(), 1, "master", "dell-room");
@@ -96,43 +99,38 @@ MrRunResult MrTestbed::RunJob(const JobSpec& spec) {
   // the job itself (dynamic name, interned for tracer lifetime); task
   // attempts become cross-track children, so Perfetto draws flow arrows
   // job -> attempt.
-  obs::TraceHandle job_trace;
   std::unique_ptr<obs::CausalSpan> job_span;
-  if (config_.tracer != nullptr) {
-    job_trace.tracer = config_.tracer;
-    job_trace.sched = &sched_;
-    job_trace.track = 0;
-    job_trace.ctx.trace_id = config_.tracer->NewTraceId();
+  if (sinks_.tracer != nullptr) {
     job_span = std::make_unique<obs::CausalSpan>(
-        job_trace, config_.tracer->Intern(spec.name), obs::Category::kApp);
+        sinks_.NewTrace(0), sinks_.tracer->Intern(spec.name),
+        obs::Category::kApp);
   }
   job.set_trace(job_span != nullptr ? job_span->handle()
                                     : obs::TraceHandle{});
 
-  cluster::MetricsSampler sampler(&cluster_, {"mr-slave"}, Seconds(1));
-  sampler.SetProgressProbe([&job] {
-    return std::make_pair(job.MapProgressPct(), job.ReduceProgressPct());
-  });
+  obs::MetricsRegistry timeline;
+  cluster_.PublishRoleMetrics(&timeline, "mr-slave");
+  timeline.AddGauge("map_pct", [&job] { return job.MapProgressPct(); });
+  timeline.AddGauge("reduce_pct",
+                    [&job] { return job.ReduceProgressPct(); });
 
   const Joules joules_before = cluster_.CumulativeJoules({"mr-slave"});
-  sampler.Start();
-  if (config_.metrics != nullptr) {
-    config_.metrics->Start(&sched_, Seconds(1));
-  }
+  timeline.Start(&sched_, Seconds(1));
+  sinks_.StartMetrics();
   sim::ProcessRef ref = job.Start();
 
-  // Stop telemetry the moment the job driver finishes so the event queue
+  // Stop sampling the moment the job driver finishes so the event queue
   // can drain.
   auto watcher = [this](sim::ProcessRef target,
-                        cluster::MetricsSampler* s) -> sim::Process {
+                        obs::MetricsRegistry* t) -> sim::Process {
     co_await target.Join();
-    s->Stop();
-    if (config_.metrics != nullptr) config_.metrics->Stop();
+    t->Stop();
+    sinks_.StopClocks();
   };
-  sim::Spawn(sched_, watcher(ref, &sampler));
+  sim::Spawn(sched_, watcher(ref, &timeline));
   sched_.Run();
   job_span.reset();  // closes the "job" span at the drained end time
-  if (config_.metrics != nullptr) config_.metrics->SampleNow();
+  sinks_.SampleFinal();
 
   MrRunResult result;
   result.job = job.result();
@@ -140,7 +138,7 @@ MrRunResult MrTestbed::RunJob(const JobSpec& spec) {
       cluster_.CumulativeJoules({"mr-slave"}) - joules_before;
   result.mean_slave_power =
       result.job.elapsed > 0 ? result.slave_joules / result.job.elapsed : 0;
-  result.timeline = sampler.samples();
+  result.timeline = timeline.TakeSeries();
   if (spec.input_bytes > 0 && result.slave_joules > 0) {
     result.work_done_per_joule =
         static_cast<double>(spec.input_bytes) / 1e6 / result.slave_joules;

@@ -13,15 +13,11 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/metrics.h"
 #include "mapreduce/hdfs.h"
 #include "mapreduce/job.h"
 #include "mapreduce/yarn.h"
-
-namespace wimpy::obs {
-class MetricsRegistry;
-class Tracer;
-}  // namespace wimpy::obs
+#include "obs/metrics.h"
+#include "obs/sinks.h"
 
 namespace wimpy::mapreduce {
 
@@ -41,11 +37,11 @@ struct MrClusterConfig {
   int throttled_slaves = 0;
   double throttle_factor = 0.5;
   std::uint64_t seed = 20160501;
-  // Optional observability sinks (docs/observability.md); borrowed, may
-  // be null. With `tracer`, RunJob wraps the job in a span and every
-  // map/reduce attempt gets its own. With `metrics`, the testbed
-  // publishes per-slave utilisation/power, YARN, HDFS and link probes
-  // sampled at 1 s of simulated time for the duration of each job.
+  // Optional observability sinks (obs/sinks.h, docs/observability.md);
+  // borrowed, may be null. With `tracer`, RunJob wraps the job in a span
+  // and every map/reduce attempt gets its own. With `metrics`, the
+  // testbed publishes per-slave utilisation/power, YARN, HDFS and link
+  // probes sampled at 1 s of simulated time for the duration of each job.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -55,11 +51,21 @@ struct MrClusterConfig {
 MrClusterConfig EdisonMrCluster(int slaves);
 MrClusterConfig DellMrCluster(int slaves);
 
+// Columns of MrRunResult::timeline: the slaves' psutil view
+// (cluster::Cluster::PublishRoleMetrics) plus the job's progress.
+enum TimelineColumn : std::size_t {
+  kTimelineCpuPct,
+  kTimelineMemoryPct,
+  kTimelinePowerW,
+  kTimelineMapPct,
+  kTimelineReducePct,
+};
+
 struct MrRunResult {
   JobResult job;
   Joules slave_joules = 0;  // master excluded
   Watts mean_slave_power = 0;
-  std::vector<cluster::MetricsSample> timeline;  // 1 Hz, slaves only
+  obs::MetricsSeries timeline;  // 1 Hz, slaves only (TimelineColumn)
   double work_done_per_joule = 0;  // input MB per joule (0 for pi)
 };
 
@@ -93,6 +99,8 @@ class MrTestbed {
   std::unique_ptr<Hdfs> hdfs_;
   std::unique_ptr<Yarn> yarn_;
   std::uint64_t job_seed_ = 1;
+  // Last member: torn down first, while the slaves it observes exist.
+  obs::RunSinks sinks_;
 };
 
 }  // namespace wimpy::mapreduce

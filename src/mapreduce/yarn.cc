@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "obs/metrics.h"
 
@@ -57,6 +59,15 @@ hw::ServerNode* Yarn::TryPick(Bytes memory,
 
 sim::Task<Container> Yarn::Allocate(
     Bytes memory, const std::vector<int>& preferred_nodes) {
+  if (memory > config_.node_usable_memory) {
+    // No node can ever grant it: waiting would heartbeat forever.
+    std::fprintf(stderr,
+                 "Yarn::Allocate: a %lld-byte container exceeds every "
+                 "node's %lld bytes of container memory\n",
+                 static_cast<long long>(memory),
+                 static_cast<long long>(config_.node_usable_memory));
+    std::abort();
+  }
   sim::Scheduler& sched = slaves_.front()->scheduler();
   for (;;) {
     hw::ServerNode* node = TryPick(memory, preferred_nodes);

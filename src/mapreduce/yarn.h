@@ -67,7 +67,9 @@ class Yarn {
   // Awaits a container of `memory` bytes. `preferred_nodes` (e.g. the
   // nodes holding the input block's replicas) win ties; allocation falls
   // back to the least-loaded node otherwise. Also reserves the memory in
-  // the node's hardware model so utilisation telemetry sees it.
+  // the node's hardware model so utilisation telemetry sees it. A request
+  // larger than `node_usable_memory` can never be granted and aborts with
+  // a diagnostic.
   sim::Task<Container> Allocate(Bytes memory,
                                 const std::vector<int>& preferred_nodes);
 

@@ -38,7 +38,8 @@ struct ShardTestbed {
       : fabric(&sched),
         topo(&fabric, TopologyConfig(config)),
         clstr(&sched, &fabric),
-        rng(config.seed) {
+        rng(config.seed),
+        sinks(config, &sched) {
     // Clients live in their own room hanging off the core switch, like
     // the kv testbed's client room — only now the path to any store
     // crosses core → agg → rack, so client traffic and replication
@@ -78,78 +79,38 @@ struct ShardTestbed {
     migrator = std::make_unique<Migrator>(&clstr, router.get(),
                                           config.migration);
 
-    tracer = config.tracer;
-    metrics = config.metrics;
-    energy = config.energy;
-    trace_sample_every = std::max(1, config.trace_sample_every);
-    if (energy != nullptr) {
+    if (sinks.energy != nullptr) {
       // The whole provisioned store tier is observed (members + spares):
       // an idle spare still burns idle watts, which is exactly the
       // provisioning cost the scale-out bench wants visible.
-      for (auto& store : stores) store->node().ObserveEnergy(energy);
+      for (auto& store : stores) store->node().ObserveEnergy(sinks.energy);
     }
-    if (metrics != nullptr) {
+    if (sinks.metrics != nullptr) {
       for (std::size_t i = 0; i < stores.size(); ++i) {
-        stores[i]->node().PublishMetrics(metrics,
+        stores[i]->node().PublishMetrics(sinks.metrics,
                                          "shard" + std::to_string(i));
       }
-      fabric.PublishMetrics(metrics, "net");
+      fabric.PublishMetrics(sinks.metrics, "net");
     }
-    telemetry = config.telemetry;
-    if (telemetry != nullptr) {
+    if (sinks.telemetry != nullptr) {
       for (std::size_t i = 0; i < stores.size(); ++i) {
-        stores[i]->node().PublishTelemetry(telemetry,
+        stores[i]->node().PublishTelemetry(sinks.telemetry,
                                            "shard" + std::to_string(i));
       }
-      obs::NodeHealthConfig health_config;
-      health_config.power_cap_w = config.node_profile.power.busy +
-                                  config.node_profile.power.constant_adapter;
-      // The lag input is a 0/1 in-migration flag: an active churn
-      // handoff costs the full lag weight.
-      health_config.lag_cap = 1.0;
-      health = std::make_unique<obs::NodeHealth>(telemetry, health_config);
-      for (std::size_t i = 0; i < stores.size(); ++i) {
-        const std::string node = "shard" + std::to_string(i);
-        obs::NodeHealthInputs inputs;
-        inputs.utilization = node + ".cpu_busy";
-        inputs.power = node + ".power_w";
-        inputs.queue_depth = "gate.queue_depth";
-        inputs.shed = "slo.shed";
-        // Churn hurts every member's score while handoffs are in
-        // flight: catch-up lag is a cluster-wide signal here.
-        inputs.lag = "migration.inflight";
-        health->AddNode(static_cast<int>(i), std::move(inputs));
-      }
-      if (metrics != nullptr) health->PublishMetrics(metrics, "health");
-      if (tracer != nullptr) health->EmitTraceInstants(tracer);
     }
-  }
-
-  // The attributor outlives the testbed: settle it while the scheduler
-  // and nodes still exist.
-  ~ShardTestbed() {
-    if (energy != nullptr) energy->Detach();
+    obs::NodeHealthConfig health;
+    health.power_cap_w = config.node_profile.power.busy +
+                         config.node_profile.power.constant_adapter;
+    // The lag input is a 0/1 in-migration flag: an active churn handoff
+    // costs the full lag weight, on every member's score, since
+    // catch-up lag is a cluster-wide signal here.
+    health.lag_cap = 1.0;
+    sinks.WatchHealth(static_cast<int>(stores.size()), "shard", health,
+                      "migration.inflight");
   }
 
   int StoreNodeId(int store_index) const {
     return stores[static_cast<std::size_t>(store_index)]->node().id();
-  }
-
-  // 1-in-N query trace sampling (same contract as the kv/web testbeds:
-  // the counter lives outside the random streams, so tracing on/off
-  // never changes simulated behaviour).
-  obs::TraceHandle StartTrace() {
-    const std::uint64_t query = query_counter_++;
-    if (tracer == nullptr ||
-        query % static_cast<std::uint64_t>(trace_sample_every) != 0) {
-      return {};
-    }
-    obs::TraceHandle handle;
-    handle.tracer = tracer;
-    handle.sched = &sched;
-    handle.track = static_cast<std::int32_t>(query & 0x7fffffff);
-    handle.ctx.trace_id = tracer->NewTraceId();
-    return handle;
   }
 
   sim::Scheduler sched;
@@ -161,13 +122,9 @@ struct ShardTestbed {
   std::vector<int> client_ids;
   std::unique_ptr<Router> router;
   std::unique_ptr<Migrator> migrator;
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::EnergyAttributor* energy = nullptr;
-  obs::Telemetry* telemetry = nullptr;
-  std::unique_ptr<obs::NodeHealth> health;
-  int trace_sample_every = 64;
-  std::uint64_t query_counter_ = 0;
+  // Last member: torn down first, while the stores it observes exist.
+  // One query in N roots a trace.
+  obs::RunSinks sinks;
 };
 
 struct ShardWindow {
@@ -212,7 +169,7 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
   // child brackets the whole routed interaction with the owner chain, so
   // trace_analyze decomposes time spent inside each shard — and, via the
   // nested req/reply/repl net hops, across racks — without changes.
-  obs::CausalSpan query_span(tb.StartTrace(), "query",
+  obs::CausalSpan query_span(tb.sinks.StartTrace(), "query",
                              obs::Category::kRequest, shard);
   if (serving < 0) query_span.Instant("route_failed");
   const int client = tb.client_ids[rng.NextBelow(tb.client_ids.size())];
@@ -229,7 +186,7 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
     if (rng.Bernoulli(config.get_fraction)) {
       obs::CausalSpan op(hop.handle(), "get", obs::Category::kRequest,
                          store->node().id());
-      obs::ScopedResidency res(tb.energy, store->node().id(), op.handle(),
+      obs::ScopedResidency res(tb.sinks.energy, store->node().id(), op.handle(),
                                "get");
       co_await store->Get(client, value, op.handle());
     } else {
@@ -239,7 +196,7 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
       {
         obs::CausalSpan op(hop.handle(), "put", obs::Category::kRequest,
                            store->node().id());
-        obs::ScopedResidency res(tb.energy, store->node().id(),
+        obs::ScopedResidency res(tb.sinks.energy, store->node().id(),
                                  op.handle(), "put");
         co_await store->Put(client, value, op.handle());
       }
@@ -260,7 +217,7 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
         {
           obs::CausalSpan op(hop.handle(), "replicate",
                              obs::Category::kRequest, replica->node().id());
-          obs::ScopedResidency res(tb.energy, replica->node().id(),
+          obs::ScopedResidency res(tb.sinks.energy, replica->node().id(),
                                    op.handle(), "replicate");
           co_await replica->ApplyReplicatedWrite(tb.StoreNodeId(upstream),
                                                  value, op.handle());
@@ -342,48 +299,35 @@ ShardReport ShardExperiment::Measure(double target_qps, Duration measure) {
         // serving its shards until each one commits its handoff.
         moves = tb.router->Leave(tb.router->ring().members().back());
       }
-      if (tb.tracer != nullptr) {
-        tb.tracer->InstantAt(tb.sched.now(),
-                             config_.churn == Churn::kJoin ? "churn_join"
-                                                           : "churn_leave",
-                             obs::Category::kApp,
-                             static_cast<std::int64_t>(moves.size()));
+      obs::Tracer* tracer = tb.sinks.tracer;
+      if (tracer != nullptr) {
+        tracer->InstantAt(tb.sched.now(),
+                          config_.churn == Churn::kJoin ? "churn_join"
+                                                        : "churn_leave",
+                          obs::Category::kApp,
+                          static_cast<std::int64_t>(moves.size()));
       }
-      sim::Spawn(tb.sched, tb.migrator->Run(std::move(moves), tb.tracer,
-                                            &migration));
+      sim::Spawn(tb.sched,
+                 tb.migrator->Run(std::move(moves), tracer, &migration));
     });
   }
 
   Joules epoch = 0;
   tb.sched.ScheduleAt(window.start, [&] {
     epoch = tb.clstr.CumulativeJoules({"shard-store"});
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_start",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->BeginWindow();
+    tb.sinks.BeginWindow();
   });
   Joules spent = 0;
   tb.sched.ScheduleAt(window.end, [&] {
     spent = tb.clstr.CumulativeJoules({"shard-store"}) - epoch;
-    if (tb.metrics != nullptr) tb.metrics->Stop();
-    if (tb.telemetry != nullptr) tb.telemetry->Stop();
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_end",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->EndWindow();
+    tb.sinks.EndWindow();
   });
 
   load::OpenLoopRecorder recorder(window.start, window.end,
                                   config_.openloop.slo);
   ShardGate gate(config_.openloop);
-  if (tb.telemetry != nullptr) {
-    obs::Telemetry* telemetry = tb.telemetry;
-    recorder.set_stream(obs::SloStreamInto(telemetry, "slo"));
-    telemetry->AddProbe("gate.queue_depth", [&gate] {
-      return static_cast<double>(gate.queue_depth());
-    });
+  tb.sinks.StreamOpenLoop(recorder, gate);
+  if (obs::Telemetry* telemetry = tb.sinks.telemetry) {
     // Live migration-lag probes over the stats the migrator fills
     // in-place during churn; `inflight` (1 while a started migration has
     // not committed its last cutover) is the NodeHealth lag term.
@@ -430,16 +374,13 @@ ShardReport ShardExperiment::Measure(double target_qps, Duration measure) {
       sheds.window = Seconds(2);
       telemetry->AddThresholdRule(sheds);
     }
-    telemetry->Start(&tb.sched, tb.tracer);
   }
-  if (tb.metrics != nullptr) tb.metrics->Start(&tb.sched, Seconds(1));
+  tb.sinks.StartTelemetry();
+  tb.sinks.StartMetrics();
   sim::Spawn(tb.sched, Arrivals(tb, config_, window, recorder, gate,
                                 target_qps, tb.rng.Fork()));
   tb.sched.Run();
-  if (tb.metrics != nullptr) {
-    tb.metrics->SampleNow();
-    tb.metrics->Detach();
-  }
+  tb.sinks.SampleFinal();
 
   ShardReport report;
   report.target_qps = target_qps;

@@ -19,15 +19,9 @@
 #include "hw/profile.h"
 #include "kv/store.h"
 #include "load/openloop.h"
+#include "obs/sinks.h"
 #include "shard/migrator.h"
 #include "shard/ring.h"
-
-namespace wimpy::obs {
-class EnergyAttributor;
-class MetricsRegistry;
-class Telemetry;
-class Tracer;
-}  // namespace wimpy::obs
 
 namespace wimpy::shard {
 
@@ -36,7 +30,13 @@ namespace wimpy::shard {
 // highest-numbered ring member (it serves until every shard hands off).
 enum class Churn { kNone, kJoin, kLeave };
 
-struct ShardExperimentConfig {
+// Observability sinks come from the obs::Sinks base (obs/sinks.h,
+// docs/observability.md), with the kv experiment's contract over the
+// whole provisioned store tier (`shard<i>.*`). Telemetry additionally
+// gets migration-lag probes (`migration.inflight|shards_moved|
+// catchup_bytes`, the NodeHealth lag term) and a `net.max_uplink_busy`
+// probe with a hottest-uplink saturation rule.
+struct ShardExperimentConfig : obs::Sinks {
   hw::HardwareProfile node_profile;  // defaulted to Edison in the ctor
   int racks = 3;
   int nodes_per_rack = 4;
@@ -55,20 +55,6 @@ struct ShardExperimentConfig {
   double get_fraction = 0.90;
   Churn churn = Churn::kNone;
   std::uint64_t seed = 20260808;
-  // Observability sinks (borrowed, may be null; see kv/experiment.h for
-  // the sampling contract).
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::EnergyAttributor* energy = nullptr;
-  int trace_sample_every = 64;
-  // Online telemetry plane (obs/telemetry.h; null = zero overhead).
-  // Beyond the kv wiring (SLO stream, queue probe, burn-rate/shed/p99
-  // rules, NodeHealth), a Measure adds migration-lag probes
-  // (`migration.inflight|shards_moved|catchup_bytes` over the live
-  // MigrationStats — the NodeHealth lag term) and a
-  // `net.max_uplink_busy` probe with a hottest-uplink saturation rule.
-  // One Telemetry per Measure call; borrowed, must outlive it.
-  obs::Telemetry* telemetry = nullptr;
   // Open-loop load shape (docs/openloop.md): arrival model/burstiness,
   // client-side admission gate, SLO bound. `openloop.arrival.rate` is
   // overridden by Measure's target_qps. The default (Poisson, unbounded,

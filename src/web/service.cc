@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "cluster/cluster.h"
-#include "cluster/metrics.h"
 #include "hw/profiles.h"
 #include "obs/energy.h"
 #include "obs/metrics.h"
@@ -71,7 +70,8 @@ namespace {
 // A fully wired deployment, built fresh for every measurement run.
 struct Testbed {
   explicit Testbed(const WebTestbedConfig& config, int client_count)
-      : fabric(&sched), clstr(&sched, &fabric), rng(config.seed) {
+      : fabric(&sched), clstr(&sched, &fabric), rng(config.seed),
+        sinks(config, &sched) {
     // Room-level topology (paper §5.1.2): clients reach the Edison room
     // over a single 1 Gbps uplink but the Dell room at 2 Gbps aggregate;
     // the Edison and Dell rooms interconnect at 1 Gbps.
@@ -123,34 +123,18 @@ struct Testbed {
           std::make_unique<net::TcpHost>(&fabric, node->id(), client_tcp));
     }
 
-    tracer = config.tracer;
-    metrics = config.metrics;
-    energy = config.energy;
-    trace_sample_every = std::max(1, config.trace_sample_every);
-    if (metrics != nullptr) PublishProbes();
-    telemetry = config.telemetry;
-    if (telemetry != nullptr) {
+    if (sinks.metrics != nullptr) PublishProbes(sinks.metrics);
+    if (sinks.telemetry != nullptr) {
       for (std::size_t i = 0; i < webs.size(); ++i) {
-        webs[i]->node().PublishTelemetry(telemetry,
+        webs[i]->node().PublishTelemetry(sinks.telemetry,
                                          "web" + std::to_string(i));
       }
-      obs::NodeHealthConfig health_config;
-      health_config.power_cap_w = config.middle_profile.power.busy +
-                                  config.middle_profile.power.constant_adapter;
-      health = std::make_unique<obs::NodeHealth>(telemetry, health_config);
-      for (std::size_t i = 0; i < webs.size(); ++i) {
-        const std::string prefix = "web" + std::to_string(i);
-        obs::NodeHealthInputs inputs;
-        inputs.utilization = prefix + ".cpu_busy";
-        inputs.power = prefix + ".power_w";
-        inputs.queue_depth = "gate.queue_depth";
-        inputs.shed = "slo.shed";
-        health->AddNode(static_cast<int>(i), inputs);
-      }
-      if (metrics != nullptr) health->PublishMetrics(metrics, "health");
-      if (tracer != nullptr) health->EmitTraceInstants(tracer);
     }
-    if (energy != nullptr) {
+    obs::NodeHealthConfig health;
+    health.power_cap_w = config.middle_profile.power.busy +
+                         config.middle_profile.power.constant_adapter;
+    sinks.WatchHealth(static_cast<int>(webs.size()), "web", health);
+    if (obs::EnergyAttributor* energy = sinks.energy) {
       // Observation order (web, cache, db) fixes ledger row order for a
       // given simulation, keeping exports deterministic.
       for (auto& web : webs) {
@@ -162,15 +146,9 @@ struct Testbed {
     }
   }
 
-  // The attributor outlives the testbed: settle it while the scheduler
-  // and nodes still exist.
-  ~Testbed() {
-    if (energy != nullptr) energy->Detach();
-  }
-
   // Probe registration order is fixed (web tier, cache tier, dbs, links,
   // aggregates), so exported column order is deterministic.
-  void PublishProbes() {
+  void PublishProbes(obs::MetricsRegistry* metrics) {
     for (std::size_t i = 0; i < webs.size(); ++i) {
       const std::string prefix = "web" + std::to_string(i);
       webs[i]->node().PublishMetrics(metrics, prefix);
@@ -236,26 +214,6 @@ struct Testbed {
     return s;
   }
 
-  // 1-in-N connection trace sampling. A sampled connection gets a root
-  // trace handle — fresh trace id, its own track — that the connection
-  // process threads through the whole serving path; unsampled
-  // connections get a null handle and every downstream tracing call
-  // no-ops. The counter is part of the testbed, not the random streams,
-  // so tracing on/off never changes simulated behaviour.
-  obs::TraceHandle StartTrace() {
-    const std::uint64_t conn = conn_counter_++;
-    if (tracer == nullptr ||
-        conn % static_cast<std::uint64_t>(trace_sample_every) != 0) {
-      return {};
-    }
-    obs::TraceHandle handle;
-    handle.tracer = tracer;
-    handle.sched = &sched;
-    handle.track = static_cast<std::int32_t>(conn & 0x7fffffff);
-    handle.ctx.trace_id = tracer->NewTraceId();
-    return handle;
-  }
-
   // Closed-loop calls between dispatch and reply, and their peak over
   // the run (LevelReport::peak_calls_in_flight).
   void CallStarted() {
@@ -288,17 +246,13 @@ struct Testbed {
   std::vector<std::unique_ptr<DatabaseServer>> dbs;
   std::vector<std::unique_ptr<WebServer>> webs;
   std::vector<std::unique_ptr<net::TcpHost>> client_hosts;
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::EnergyAttributor* energy = nullptr;
-  obs::Telemetry* telemetry = nullptr;
-  std::unique_ptr<obs::NodeHealth> health;
-  int trace_sample_every = 64;
-  std::uint64_t conn_counter_ = 0;
   std::int64_t calls_in_flight = 0;
   std::int64_t peak_calls_in_flight = 0;
   std::size_t next_web_ = 0;
   std::size_t next_client_ = 0;
+  // Last member: torn down first, while the nodes it observes exist. One
+  // connection (open loop: one request) in N roots a trace.
+  obs::RunSinks sinks;
 };
 
 // Shared counters for one measurement run; only events inside the
@@ -396,7 +350,7 @@ sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
   // Root span of the connection's trace tree; null for unsampled
   // connections. The handle rides every downstream call — the simulated
   // context header.
-  obs::CausalSpan conn_span(tb.StartTrace(), "conn",
+  obs::CausalSpan conn_span(tb.sinks.StartTrace(), "conn",
                             obs::Category::kRequest);
   net::TcpConnection conn(client, &web->tcp_host());
   const net::ConnectResult cres =
@@ -458,7 +412,7 @@ sim::Process OpenLoopRequest(Testbed& tb, RunWindow& window,
                              load::OpenLoopRecorder& recorder, WebGate& gate,
                              SimTime intended, Rng rng) {
   const SimTime start = tb.sched.now();
-  obs::CausalSpan request_span(tb.StartTrace(), "request",
+  obs::CausalSpan request_span(tb.sinks.StartTrace(), "request",
                                obs::Category::kRequest);
   net::TcpConnection conn(client, &web->tcp_host());
   bool ok = false;
@@ -531,6 +485,31 @@ sim::Process OpenLoopArrivals(Testbed& tb, RunWindow& window,
   }
 }
 
+// The closed-loop figures of one window of `length` seconds.
+LevelReport WindowReport(const RunWindow& window, double concurrency,
+                         int calls_per_connection, Duration length) {
+  LevelReport report;
+  report.target_concurrency = concurrency;
+  report.calls_per_connection = calls_per_connection;
+  report.achieved_rps = static_cast<double>(window.ok) / length;
+  report.error_rate =
+      window.attempts == 0
+          ? 0.0
+          : static_cast<double>(window.errors) /
+                static_cast<double>(window.attempts);
+  report.mean_response = window.response.mean();
+  report.dispatch_response = window.dispatch_response;
+  report.conn_intended_response = window.conn_intended_response;
+  report.p99_dispatch = window.dispatch_percentiles.empty()
+                            ? 0.0
+                            : window.dispatch_percentiles.Percentile(0.99);
+  report.p99_conn_intended =
+      window.conn_intended_percentiles.empty()
+          ? 0.0
+          : window.conn_intended_percentiles.Percentile(0.99);
+  return report;
+}
+
 // Merges the per-server delay decompositions into the report.
 template <typename Report>
 void CollectServerDelays(Testbed& tb, Report* report) {
@@ -559,93 +538,55 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
   window.warmup_end = warmup;
   window.measure_end = warmup + measure;
 
-  cluster::MetricsSampler web_sampler(&tb.clstr, {"web-server"}, 1.0);
-  cluster::MetricsSampler cache_sampler(&tb.clstr, {"cache-server"}, 1.0);
+  // The window's 1 Hz psutil view of each tier, one clock per tier.
+  obs::MetricsRegistry web_tier;
+  obs::MetricsRegistry cache_tier;
+  tb.clstr.PublishRoleMetrics(&web_tier, "web-server");
+  tb.clstr.PublishRoleMetrics(&cache_tier, "cache-server");
 
   Joules epoch_joules = 0;
   tb.sched.ScheduleAt(window.warmup_end, [&] {
     for (auto& web : tb.webs) web->ResetStats();
     epoch_joules =
         tb.clstr.CumulativeJoules({"web-server", "cache-server"});
-    web_sampler.Start();
-    cache_sampler.Start();
-    // Window marks at the very instant the stats reset, so the trace
-    // analyzer can reproduce the report's windowing exactly.
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_start",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->BeginWindow();
+    web_tier.Start(&tb.sched, Seconds(1));
+    cache_tier.Start(&tb.sched, Seconds(1));
+    tb.sinks.BeginWindow();
   });
   Joules window_joules = 0;
   tb.sched.ScheduleAt(window.measure_end, [&] {
     window_joules =
         tb.clstr.CumulativeJoules({"web-server", "cache-server"}) -
         epoch_joules;
-    web_sampler.Stop();
-    cache_sampler.Stop();
-    if (tb.metrics != nullptr) tb.metrics->Stop();
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_end",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->EndWindow();
+    web_tier.Stop();
+    cache_tier.Stop();
+    tb.sinks.EndWindow();
   });
 
-  if (tb.metrics != nullptr) tb.metrics->Start(&tb.sched, Seconds(1));
+  tb.sinks.StartMetrics();
   sim::Spawn(tb.sched,
              ClosedLoopArrivals(tb, {&window}, mix, concurrency,
                                 calls_per_connection, tb.rng.Fork()));
   tb.sched.Run();
-  // Final sample after the queue drains: cumulative counters and the
-  // merged delay stats now match the report exactly. Then detach: the
-  // registry outlives this function-local testbed, so its probes must
-  // not.
-  if (tb.metrics != nullptr) {
-    tb.metrics->SampleNow();
-    tb.metrics->Detach();
-  }
+  tb.sinks.SampleFinal();
 
-  LevelReport report;
-  report.target_concurrency = concurrency;
-  report.calls_per_connection = calls_per_connection;
-  report.achieved_rps = static_cast<double>(window.ok) / measure;
-  report.error_rate =
-      window.attempts == 0
-          ? 0.0
-          : static_cast<double>(window.errors) /
-                static_cast<double>(window.attempts);
-  report.mean_response = window.response.mean();
+  LevelReport report =
+      WindowReport(window, concurrency, calls_per_connection, measure);
   report.middle_tier_power = window_joules / measure;
   report.executed_events = tb.sched.executed_events();
   report.peak_calls_in_flight = tb.peak_calls_in_flight;
 
-  auto mean_of = [](const std::vector<cluster::MetricsSample>& samples,
-                    auto member) {
-    if (samples.empty()) return 0.0;
+  // Columns 0 and 1 are the role's cpu_pct and memory_pct.
+  auto mean_of = [](const obs::MetricsSeries& series, std::size_t column) {
+    if (series.rows.empty()) return 0.0;
     double sum = 0;
-    for (const auto& s : samples) sum += s.*member;
-    return sum / static_cast<double>(samples.size());
+    for (const auto& row : series.rows) sum += row[column];
+    return sum / static_cast<double>(series.rows.size());
   };
-  report.web_cpu_pct =
-      mean_of(web_sampler.samples(), &cluster::MetricsSample::cpu_pct);
-  report.web_memory_pct =
-      mean_of(web_sampler.samples(), &cluster::MetricsSample::memory_pct);
-  report.cache_cpu_pct =
-      mean_of(cache_sampler.samples(), &cluster::MetricsSample::cpu_pct);
-  report.cache_memory_pct =
-      mean_of(cache_sampler.samples(), &cluster::MetricsSample::memory_pct);
-
-  report.dispatch_response = window.dispatch_response;
-  report.conn_intended_response = window.conn_intended_response;
-  report.p99_dispatch = window.dispatch_percentiles.empty()
-                            ? 0.0
-                            : window.dispatch_percentiles.Percentile(0.99);
-  report.p99_conn_intended =
-      window.conn_intended_percentiles.empty()
-          ? 0.0
-          : window.conn_intended_percentiles.Percentile(0.99);
-
+  report.web_cpu_pct = mean_of(web_tier.series(), 0);
+  report.web_memory_pct = mean_of(web_tier.series(), 1);
+  report.cache_cpu_pct = mean_of(cache_tier.series(), 0);
+  report.cache_memory_pct = mean_of(cache_tier.series(), 1);
   CollectServerDelays(tb, &report);
   return report;
 }
@@ -664,61 +605,24 @@ WebExperiment::FailureReport WebExperiment::MeasureWithFailure(
   const int to_fail =
       std::min<int>(failed_servers,
                     static_cast<int>(tb.webs.size()) - 1);
-  tb.sched.ScheduleAt(before.warmup_end, [&tb] {
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_start",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->BeginWindow();
-  });
+  tb.sched.ScheduleAt(before.warmup_end, [&tb] { tb.sinks.BeginWindow(); });
   tb.sched.ScheduleAt(before.measure_end, [&tb, to_fail] {
     for (int i = 0; i < to_fail; ++i) tb.webs[i]->set_failed(true);
   });
-  tb.sched.ScheduleAt(after.measure_end, [&tb] {
-    if (tb.metrics != nullptr) tb.metrics->Stop();
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_end",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->EndWindow();
-  });
+  tb.sched.ScheduleAt(after.measure_end, [&tb] { tb.sinks.EndWindow(); });
 
-  if (tb.metrics != nullptr) tb.metrics->Start(&tb.sched, Seconds(1));
+  tb.sinks.StartMetrics();
   sim::Spawn(tb.sched,
              ClosedLoopArrivals(tb, {&before, &after}, mix, concurrency,
                                 calls_per_connection, tb.rng.Fork()));
   tb.sched.Run();
-  if (tb.metrics != nullptr) {
-    tb.metrics->SampleNow();
-    tb.metrics->Detach();
-  }
+  tb.sinks.SampleFinal();
 
-  auto fill = [&](const RunWindow& window) {
-    LevelReport report;
-    report.target_concurrency = concurrency;
-    report.calls_per_connection = calls_per_connection;
-    report.achieved_rps =
-        static_cast<double>(window.ok) / half_window;
-    report.error_rate =
-        window.attempts == 0
-            ? 0.0
-            : static_cast<double>(window.errors) /
-                  static_cast<double>(window.attempts);
-    report.mean_response = window.response.mean();
-    report.dispatch_response = window.dispatch_response;
-    report.conn_intended_response = window.conn_intended_response;
-    report.p99_dispatch = window.dispatch_percentiles.empty()
-                              ? 0.0
-                              : window.dispatch_percentiles.Percentile(0.99);
-    report.p99_conn_intended =
-        window.conn_intended_percentiles.empty()
-            ? 0.0
-            : window.conn_intended_percentiles.Percentile(0.99);
-    return report;
-  };
   FailureReport report;
-  report.before = fill(before);
-  report.after = fill(after);
+  report.before =
+      WindowReport(before, concurrency, calls_per_connection, half_window);
+  report.after =
+      WindowReport(after, concurrency, calls_per_connection, half_window);
   report.failed_servers = to_fail;
   report.total_servers = static_cast<int>(tb.webs.size());
   return report;
@@ -762,76 +666,29 @@ OpenLoopReport WebExperiment::MeasureOpenLoop(
     for (auto& web : tb.webs) web->ResetStats();
     epoch_joules =
         tb.clstr.CumulativeJoules({"web-server", "cache-server"});
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_start",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->BeginWindow();
+    tb.sinks.BeginWindow();
   });
   Joules window_joules = 0;
   tb.sched.ScheduleAt(window.measure_end, [&] {
     window_joules =
         tb.clstr.CumulativeJoules({"web-server", "cache-server"}) -
         epoch_joules;
-    if (tb.metrics != nullptr) tb.metrics->Stop();
-    if (tb.telemetry != nullptr) tb.telemetry->Stop();
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_end",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->EndWindow();
+    tb.sinks.EndWindow();
   });
 
   load::OpenLoopRecorder recorder(window.warmup_end, window.measure_end,
                                   load_config.slo);
   WebGate gate(load_config);
-  // Per-measure telemetry wiring mirrors kv::WireTelemetry: recorder SLO
-  // stream, gate queue-depth probe, SLO-gated default rules. Thresholds
-  // are pure functions of the config, so alert instants stay
-  // deterministic.
-  if (tb.telemetry != nullptr) {
-    obs::Telemetry* telemetry = tb.telemetry;
-    recorder.set_stream(obs::SloStreamInto(telemetry, "slo"));
-    telemetry->AddProbe("gate.queue_depth", [&gate] {
-      return static_cast<double>(gate.queue_depth());
-    });
-    if (load_config.slo > 0.0) {
-      obs::BurnRateRule burn;
-      burn.name = "slo_burn";
-      burn.good_metric = "slo.good";
-      burn.total_metric = "slo.offered";
-      burn.slo_target = 0.9;      // 10% error budget
-      burn.burn_threshold = 1.0;  // burning faster than budget
-      burn.short_window = Seconds(2);
-      burn.long_window = Seconds(8);
-      telemetry->AddBurnRateRule(burn);
-      obs::ThresholdRule p99;
-      p99.name = "latency_p99_high";
-      p99.metric = "slo.latency";
-      p99.agg = obs::Agg::kP99;
-      p99.threshold = load_config.slo;
-      p99.window = Seconds(2);
-      telemetry->AddThresholdRule(p99);
-      obs::ThresholdRule sheds;
-      sheds.name = "shed_spike";
-      sheds.metric = "slo.shed";
-      sheds.agg = obs::Agg::kRate;
-      sheds.threshold = 1.0;  // sheds/s
-      sheds.window = Seconds(2);
-      telemetry->AddThresholdRule(sheds);
-    }
-    telemetry->Start(&tb.sched, tb.tracer);
-  }
-  if (tb.metrics != nullptr) tb.metrics->Start(&tb.sched, Seconds(1));
+  tb.sinks.StreamOpenLoop(recorder, gate);
+  tb.sinks.AddDefaultSloRules(load_config.slo);
+  tb.sinks.StartTelemetry();
+  tb.sinks.StartMetrics();
   sim::Spawn(tb.sched,
              OpenLoopArrivals(tb, window, mix, load_config.arrival,
                               &report.delay_histogram, recorder, gate,
                               tb.rng.Fork()));
   tb.sched.Run();
-  if (tb.metrics != nullptr) {
-    tb.metrics->SampleNow();
-    tb.metrics->Detach();
-  }
+  tb.sinks.SampleFinal();
 
   report.achieved_rps = static_cast<double>(window.ok) / measure;
   report.error_rate =

@@ -24,20 +24,19 @@
 #include "common/units.h"
 #include "hw/profile.h"
 #include "load/openloop.h"
+#include "obs/sinks.h"
 #include "web/backend.h"
 #include "web/web_server.h"
 #include "web/workload.h"
 
-namespace wimpy::obs {
-class EnergyAttributor;
-class MetricsRegistry;
-class Telemetry;
-class Tracer;
-}  // namespace wimpy::obs
-
 namespace wimpy::web {
 
-struct WebTestbedConfig {
+// Observability sinks come from the obs::Sinks base (obs/sinks.h,
+// docs/observability.md). Tracing samples connections; metrics cover
+// every node, host, link and the aggregate delay decomposition; energy
+// observes the web, cache and db tiers; telemetry serves MeasureOpenLoop
+// (per-web-node probes, the SLO stream, default rules, NodeHealth).
+struct WebTestbedConfig : obs::Sinks {
   hw::HardwareProfile middle_profile;  // web+cache tier hardware
   int web_servers = 24;
   int cache_servers = 11;
@@ -46,30 +45,6 @@ struct WebTestbedConfig {
   BackendCosts backend_costs;
   int client_machines = 8;
   std::uint64_t seed = 20160901;
-  // Optional observability sinks (docs/observability.md); borrowed, may
-  // be null. When `tracer` is set, one connection in `trace_sample_every`
-  // emits request spans (deterministic round-robin counter, so sampling
-  // never perturbs the simulation's random streams). When `metrics` is
-  // set, the testbed publishes per-node utilisation/power, per-host TCP,
-  // link, and aggregate delay-decomposition probes and samples them at
-  // 1 s of simulated time during the measurement run.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  int trace_sample_every = 64;
-  // Optional span-energy attribution (obs/energy.h): when set, the
-  // testbed subscribes it to every web/cache/db node's power meter and
-  // marks the measurement window, so sampled request trees carry
-  // joules-per-span and the ledger's window subtotal mirrors the
-  // report's energy accounting. Borrowed; may be null.
-  obs::EnergyAttributor* energy = nullptr;
-  // Online telemetry plane (obs/telemetry.h; null = zero overhead). A
-  // MeasureOpenLoop run wires per-web-node `web<i>.cpu_busy|power_w`
-  // probes, the recorder's SLO stream into `slo.*`, a `gate.queue_depth`
-  // probe, default SLO alert rules (installed when the load config sets
-  // an SLO bound), and an obs::NodeHealth scorer over the web tier
-  // (`health.*` metrics columns + kHealth trace instants). One Telemetry
-  // per measure call; borrowed, must outlive it.
-  obs::Telemetry* telemetry = nullptr;
 };
 
 // Calibrated per-platform web-server configs (see web_server.h for the

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
-#include "cluster/metrics.h"
 #include "hw/profiles.h"
+#include "obs/metrics.h"
 #include "sim/process.h"
 
 namespace wimpy::cluster {
@@ -55,13 +55,14 @@ TEST_F(PowerAccountingTest, RoleEnergyIsAdditive) {
   EXPECT_NEAR(db, 52.0 * 20.0, 1e-6);
 }
 
-TEST_F(PowerAccountingTest, SamplerDoesNotPerturbEnergy) {
+TEST_F(PowerAccountingTest, RoleTimelineDoesNotPerturbEnergy) {
   auto nodes = cluster_.AddNodes(hw::EdisonProfile(), 2, "w", "room");
   sim::Spawn(sched_, Burn(nodes[0], 8.0));
-  MetricsSampler sampler(&cluster_, {"w"}, 0.25);
-  sampler.Start();
+  obs::MetricsRegistry timeline;
+  cluster_.PublishRoleMetrics(&timeline, "w");
+  timeline.Start(&sched_, 0.25);
   sched_.Run(/*until=*/16.0);
-  sampler.Stop();
+  timeline.Stop();
   sched_.Run();
   // Energy equals the analytic value: 8 s of one busy core plus idle.
   const auto& p = hw::EdisonProfile().power;
@@ -70,7 +71,7 @@ TEST_F(PowerAccountingTest, SamplerDoesNotPerturbEnergy) {
       2 * p.idle * 16.0 +
       (p.busy - p.idle) * p.cpu_weight * core_frac * 8.0;
   EXPECT_NEAR(cluster_.CumulativeJoules(), expected, expected * 1e-9);
-  EXPECT_GE(sampler.samples().size(), 60u);
+  EXPECT_GE(timeline.series().rows.size(), 60u);
 }
 
 TEST_F(PowerAccountingTest, WattsMatchDerivativeOfJoules) {

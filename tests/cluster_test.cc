@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/metrics.h"
 #include "hw/profiles.h"
+#include "obs/metrics.h"
 #include "sim/process.h"
 
 namespace wimpy::cluster {
@@ -64,38 +64,46 @@ TEST_F(ClusterTest, MeanUtilisationAcrossRole) {
   sched_.Run();
 }
 
-TEST_F(ClusterTest, MetricsSamplerRecordsTimeline) {
+// The psutil-style role timeline (Figures 12-17): role probes plus a
+// workload gauge, sampled on the registry's 1 Hz clock.
+TEST_F(ClusterTest, RoleMetricsRecordTimeline) {
   auto nodes = cluster_.AddNodes(hw::EdisonProfile(), 1, "w", "edison-room");
-  MetricsSampler sampler(&cluster_, {"w"}, 1.0);
+  obs::MetricsRegistry timeline;
+  cluster_.PublishRoleMetrics(&timeline, "w");
   double progress = 0;
-  sampler.SetProgressProbe([&] { return std::make_pair(progress, 0.0); });
-  sampler.Start();
+  timeline.AddGauge("progress", [&] { return progress; });
+  timeline.Start(&sched_, 1.0);
   sim::Spawn(sched_, BurnCpu(nodes[0], 5.0));  // busy [0, 5] on one core
   sched_.ScheduleAt(3.0, [&] { progress = 50.0; });
-  // A running sampler keeps the event queue non-empty forever; bound the
-  // run and then stop it.
+  // A running registry keeps the event queue non-empty forever; bound
+  // the run and then stop it.
   sched_.Run(/*until=*/10.5);
-  sampler.Stop();
+  timeline.Stop();
   sched_.Run();
-  const auto& samples = sampler.samples();
-  ASSERT_GE(samples.size(), 10u);
-  EXPECT_EQ(samples[0].time, 0.0);
-  EXPECT_NEAR(samples[2].cpu_pct, 50.0, 1e-6);   // one of two cores busy
-  EXPECT_NEAR(samples[7].cpu_pct, 0.0, 1e-6);    // after completion
-  EXPECT_GT(samples[2].power_watts, 1.40);
-  EXPECT_NEAR(samples[8].power_watts, 1.40, 1e-9);
-  EXPECT_EQ(samples[2].gauge_a, 0.0);
-  EXPECT_EQ(samples[4].gauge_a, 50.0);
+  const obs::MetricsSeries& series = timeline.series();
+  ASSERT_EQ(series.names,
+            (std::vector<std::string>{"w.cpu_pct", "w.memory_pct",
+                                      "w.power_w", "progress"}));
+  const auto& rows = series.rows;
+  ASSERT_GE(rows.size(), 10u);
+  EXPECT_EQ(series.times[0], 0.0);
+  EXPECT_NEAR(rows[2][0], 50.0, 1e-6);  // one of two cores busy
+  EXPECT_NEAR(rows[7][0], 0.0, 1e-6);   // after completion
+  EXPECT_GT(rows[2][2], 1.40);
+  EXPECT_NEAR(rows[8][2], 1.40, 1e-9);
+  EXPECT_EQ(rows[2][3], 0.0);
+  EXPECT_EQ(rows[4][3], 50.0);
 }
 
-TEST_F(ClusterTest, SamplerStopCancelsFutureSamples) {
+TEST_F(ClusterTest, RoleTimelineStopCancelsFutureSamples) {
   cluster_.AddNodes(hw::EdisonProfile(), 1, "w", "edison-room");
-  MetricsSampler sampler(&cluster_, {"w"}, 1.0);
-  sampler.Start();
-  sched_.ScheduleAt(3.5, [&] { sampler.Stop(); });
+  obs::MetricsRegistry timeline;
+  cluster_.PublishRoleMetrics(&timeline, "w");
+  timeline.Start(&sched_, 1.0);
+  sched_.ScheduleAt(3.5, [&] { timeline.Stop(); });
   sched_.ScheduleAt(10.0, [] {});
   sched_.Run();
-  EXPECT_EQ(sampler.samples().size(), 4u);  // t = 0, 1, 2, 3
+  EXPECT_EQ(timeline.series().rows.size(), 4u);  // t = 0, 1, 2, 3
 }
 
 }  // namespace

@@ -226,6 +226,21 @@ TEST_F(YarnTest, HeartbeatLimitsAssignmentRate) {
   sched_.Run();
 }
 
+// A container larger than any node's container memory can never be
+// granted; waiting for it would poll the heartbeat forever.
+TEST_F(YarnTest, OversizedRequestAbortsWithDiagnostic) {
+  Yarn yarn(slaves_, config_);
+  Container c;
+  double granted = -1;
+  EXPECT_DEATH(
+      {
+        sim::Spawn(sched_,
+                   AllocOne(yarn, MB(601), {}, &c, sched_, &granted));
+        sched_.Run();
+      },
+      "exceeds every node's");
+}
+
 TEST_F(YarnTest, ReleaseRestoresHardwareMemoryTelemetry) {
   Yarn yarn(slaves_, config_);
   const Bytes before = slaves_[0]->memory().used();

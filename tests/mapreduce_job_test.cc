@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hw/profiles.h"
 #include "mapreduce/testbed.h"
 
 namespace wimpy::mapreduce {
@@ -66,7 +67,7 @@ TEST(MrJobTest, WordCountRunsToCompletion) {
   EXPECT_EQ(result.job.reduce_tasks, 8);
   EXPECT_GT(result.slave_joules, 0);
   EXPECT_GT(result.work_done_per_joule, 0);
-  EXPECT_FALSE(result.timeline.empty());
+  EXPECT_FALSE(result.timeline.rows.empty());
 }
 
 TEST(MrJobTest, TimelineShowsUtilisationAndProgress) {
@@ -77,15 +78,19 @@ TEST(MrJobTest, TimelineShowsUtilisationAndProgress) {
   // Map progress is monotone and ends at 100; CPU shows real activity.
   double prev = -1;
   double peak_cpu = 0;
-  for (const auto& s : result.timeline) {
-    EXPECT_GE(s.gauge_a, prev);
-    prev = s.gauge_a;
-    peak_cpu = std::max(peak_cpu, s.cpu_pct);
+  const auto& rows = result.timeline.rows;
+  for (const auto& s : rows) {
+    EXPECT_GE(s[kTimelineMapPct], prev);
+    prev = s[kTimelineMapPct];
+    peak_cpu = std::max(peak_cpu, s[kTimelineCpuPct]);
   }
-  EXPECT_NEAR(result.timeline.back().gauge_a, 100.0, 1e-9);
+  EXPECT_NEAR(rows.back()[kTimelineMapPct], 100.0, 1e-9);
   EXPECT_GT(peak_cpu, 50.0);
   // Memory telemetry includes the daemon baseline (~37% on Edison).
-  EXPECT_GT(result.timeline.front().memory_pct, 30.0);
+  EXPECT_GT(rows.front()[kTimelineMemoryPct], 30.0);
+  // One row per simulated second from the job's start.
+  EXPECT_EQ(result.timeline.times.front(), 0.0);
+  EXPECT_EQ(result.timeline.times[1], 1.0);
 }
 
 TEST(MrJobTest, CombinerCutsShuffleBytes) {
@@ -137,6 +142,23 @@ TEST(MrJobTest, ReduceSlowstartDelaysReducers) {
   const MrRunResult result = testbed.RunJob(spec);
   EXPECT_GT(result.job.first_reduce_launch, result.job.first_map_launch);
   EXPECT_LT(result.job.first_reduce_launch, result.job.finished);
+}
+
+// A non-Edison board on the Edison YARN tuning sizes its containers to
+// the tuning's 600 MB per node. Sizing by profile name asked for Dell's
+// 1 GB containers instead, which no node could grant: the job polled
+// the heartbeat forever with nothing allocated.
+TEST(MrJobTest, OtherBoardOnEdisonTuningAllocatesContainers) {
+  MrClusterConfig config = EdisonMrCluster(8);
+  config.slave_profile = *hw::ProfileRegistry::Get("raspberry-pi-2");
+  MrTestbed testbed(config);
+  const JobSpec spec = WordCount2Job(testbed.config());
+  LoadInputFor(spec, &testbed);
+  const MrRunResult result = testbed.RunJob(spec);
+  EXPECT_GT(testbed.yarn().containers_allocated(), 0);
+  EXPECT_GT(result.job.map_tasks, 0);
+  EXPECT_GT(result.job.elapsed, 0.0);
+  EXPECT_LT(result.job.elapsed, 3000.0);
 }
 
 TEST(MrJobTest, DellClusterRunsSameJobFaster) {

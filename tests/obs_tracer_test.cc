@@ -232,7 +232,9 @@ TEST(TracerExportTest, ChromeTraceSchemaHoldsLineByLine) {
     const double ts = NumberAfter(line, "\"ts\":");
     const auto key = std::make_pair(pid, tid);
     const auto it = last_ts.find(key);
-    if (it != last_ts.end()) EXPECT_GE(ts, it->second) << line;
+    if (it != last_ts.end()) {
+      EXPECT_GE(ts, it->second) << line;
+    }
     last_ts[key] = ts;
   }
   EXPECT_EQ(event_lines, a.events.size() + b.events.size());

@@ -3,10 +3,10 @@
 # (docs/parallel.md, docs/observability.md):
 #
 #   1. WIMPY_TSAN smoke — configures/builds a -fsanitize=thread tree and
-#      runs the concurrency-sensitive tests (the replication sweep runner
-#      and the hw profile registry) under TSan, the guard for the
-#      "bit-identical at any --threads" machinery actually being
-#      data-race-free.
+#      runs the concurrency-sensitive tests (every test that runs a
+#      sim::RunSweep sweep, and the hw profile registry) under TSan, the
+#      guard for the "bit-identical at any --threads" machinery actually
+#      being data-race-free.
 #   2. WIMPY_ASAN — configures/builds a -fsanitize=address,undefined tree
 #      and runs every ctest test under it: the pooled steady-state request
 #      path (coroutine frames, span and residency blocks, ring buffers,
@@ -35,7 +35,10 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
-TSAN_TESTS="${TSAN_TESTS:-replication|profiles_concurrency}"
+TSAN_TARGETS=(sim_replication_test load_openloop_test obs_metrics_test
+              obs_sketch_test obs_telemetry_test obs_tracer_test
+              hw_profiles_concurrency_test)
+TSAN_TESTS="${TSAN_TESTS:-$(IFS='|'; echo "${TSAN_TARGETS[*]}")}"
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 
 if [[ "${SKIP_TSAN:-0}" == "0" ]]; then
@@ -46,8 +49,7 @@ if [[ "${SKIP_TSAN:-0}" == "0" ]]; then
   fi
   # Only the concurrency-sensitive test binaries: a full TSan build of
   # every bench would dominate CI time without adding coverage.
-  cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)" \
-    --target sim_replication_test hw_profiles_concurrency_test
+  cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)" --target "${TSAN_TARGETS[@]}"
   (cd "${TSAN_BUILD_DIR}" && ctest -R "${TSAN_TESTS}" --output-on-failure)
   echo "TSan smoke OK"
 else
