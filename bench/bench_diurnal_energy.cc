@@ -37,7 +37,7 @@ struct CellResult {
 
 CellResult RunCell(const Cell& cell, Rng& root,
                    const core::DiurnalPattern& pattern,
-                   const obs::CaptureWants& wants) {
+                   const obs::TraceMetricsWants& wants) {
   web::WebTestbedConfig config = cell.edison
                                      ? web::EdisonWebTestbed(24, 11)
                                      : web::DellWebTestbed(2, 1);

@@ -9,9 +9,11 @@
 // flame chart. --metrics exports the per-slave/YARN/HDFS time series
 // (docs/observability.md).
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "common/bench_args.h"
 #include "core/experiments.h"
 #include "obs_bench_util.h"
@@ -32,15 +34,14 @@ void PrintTimeline(const std::string& title,
   std::printf("%8s %8s %8s %8s %8s %8s\n", "t(s)", "CPU%", "Mem%",
               "Power(W)", "Map%", "Reduce%");
   // Thin the series to ~25 printed rows.
-  const std::size_t stride =
-      std::max<std::size_t>(1, result.timeline.rows.size() / 25);
   const obs::MetricsSeries& timeline = result.timeline;
-  for (std::size_t i = 0; i < timeline.rows.size(); i += stride) {
-    const std::vector<double>& s = timeline.rows[i];
+  const std::size_t stride =
+      std::max<std::size_t>(1, timeline.row_count() / 25);
+  for (std::size_t i = 0; i < timeline.row_count(); i += stride) {
+    const std::span<const double> s = timeline.row(i);
     std::printf("%8.0f %8.1f %8.1f %8.1f %8.1f %8.1f\n", timeline.times[i],
-                s[mapreduce::kTimelineCpuPct],
-                s[mapreduce::kTimelineMemoryPct],
-                s[mapreduce::kTimelinePowerW], s[mapreduce::kTimelineMapPct],
+                s[cluster::kRoleCpuPct], s[cluster::kRoleMemoryPct],
+                s[cluster::kRolePowerW], s[mapreduce::kTimelineMapPct],
                 s[mapreduce::kTimelineReducePct]);
   }
   std::printf("\n");

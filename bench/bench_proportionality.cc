@@ -38,7 +38,7 @@ struct CellResult {
 };
 
 CellResult RunCell(const Cell& cell, Rng& root,
-                   const obs::CaptureWants& wants) {
+                   const obs::TraceMetricsWants& wants) {
   CellResult res;
   if (cell.kind == Cell::kCurve) {
     // Duty-cycled load on ideal hardware: deterministic, so the root

@@ -7,8 +7,10 @@
 //   slaves:   number of slave nodes (default 8 edison / 2 dell)
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 
+#include "cluster/cluster.h"
 #include "core/experiments.h"
 
 namespace {
@@ -49,14 +51,14 @@ int main(int argc, char** argv) {
 
   std::printf("%8s %8s %8s %10s %8s %8s\n", "t(s)", "CPU%", "Mem%",
               "Power(W)", "Map%", "Reduce%");
+  const obs::MetricsSeries& timeline = result.timeline;
   const std::size_t stride =
-      std::max<std::size_t>(1, result.timeline.rows.size() / 30);
-  for (std::size_t i = 0; i < result.timeline.rows.size(); i += stride) {
-    const std::vector<double>& s = result.timeline.rows[i];
-    std::printf("%8.0f %8.1f %8.1f %10.1f %8.1f %8.1f\n",
-                result.timeline.times[i], s[mapreduce::kTimelineCpuPct],
-                s[mapreduce::kTimelineMemoryPct],
-                s[mapreduce::kTimelinePowerW], s[mapreduce::kTimelineMapPct],
+      std::max<std::size_t>(1, timeline.row_count() / 30);
+  for (std::size_t i = 0; i < timeline.row_count(); i += stride) {
+    const std::span<const double> s = timeline.row(i);
+    std::printf("%8.0f %8.1f %8.1f %10.1f %8.1f %8.1f\n", timeline.times[i],
+                s[cluster::kRoleCpuPct], s[cluster::kRoleMemoryPct],
+                s[cluster::kRolePowerW], s[mapreduce::kTimelineMapPct],
                 s[mapreduce::kTimelineReducePct]);
   }
   return 0;

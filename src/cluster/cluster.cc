@@ -109,6 +109,7 @@ double Cluster::MeanStorageBusy(const std::string& role) const {
 
 void Cluster::PublishRoleMetrics(obs::MetricsRegistry* registry,
                                  const std::string& role) {
+  // Registration order is the RoleColumn order.
   registry->AddGauge(role + ".cpu_pct",
                      [this, role] { return 100.0 * MeanCpuBusy(role); });
   registry->AddGauge(role + ".memory_pct",

@@ -20,6 +20,16 @@ class MetricsRegistry;
 
 namespace wimpy::cluster {
 
+// Columns Cluster::PublishRoleMetrics appends to a registry, in order.
+// Readers index a role's series with these; a registry that adds its own
+// probes after the role's starts them at kRoleColumns.
+enum RoleColumn : std::size_t {
+  kRoleCpuPct,
+  kRoleMemoryPct,
+  kRolePowerW,
+  kRoleColumns,
+};
+
 class Cluster {
  public:
   Cluster(sim::Scheduler* sched, net::Fabric* fabric);
@@ -58,7 +68,8 @@ class Cluster {
 
   // The paper's psutil view of a role (§5, Figures 12-17): gauges
   // `<role>.cpu_pct` and `<role>.memory_pct` (means across the role, in
-  // percent) and `<role>.power_w` (the role's aggregate watts).
+  // percent) and `<role>.power_w` (the role's aggregate watts), in
+  // RoleColumn order.
   void PublishRoleMetrics(obs::MetricsRegistry* registry,
                           const std::string& role);
 

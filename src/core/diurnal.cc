@@ -17,7 +17,7 @@ double DiurnalPattern::RateAt(double hour) const {
 DailyReport MeasureDailyEnergy(const web::WebTestbedConfig& config,
                                const DiurnalPattern& pattern,
                                int samples,
-                               const obs::CaptureWants& wants) {
+                               const obs::TraceMetricsWants& wants) {
   DailyReport report;
   samples = std::max(1, samples);
   const double hours_per_sample = 24.0 / samples;

@@ -49,11 +49,12 @@ struct DailyReport {
 
 // Samples the day at `samples` evenly spaced hours, runs each as a short
 // closed-loop measurement on a fresh testbed, and scales to 24 h. The
-// sinks in `config` are ignored; each hour captures its own `wants`.
+// sinks in `config` are ignored; each hour captures the trace and
+// metrics `wants` asks for.
 DailyReport MeasureDailyEnergy(const web::WebTestbedConfig& config,
                                const DiurnalPattern& pattern,
                                int samples = 8,
-                               const obs::CaptureWants& wants = {});
+                               const obs::TraceMetricsWants& wants = {});
 
 }  // namespace wimpy::core
 

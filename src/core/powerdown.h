@@ -47,7 +47,7 @@ struct PowerDownOptions {
   // Seed applied to every strategy's cluster config; 0 keeps the
   // config's built-in default, preserving existing golden outputs.
   std::uint64_t seed = 0;
-  obs::CaptureWants capture;
+  obs::TraceMetricsWants capture;
 };
 
 // Evaluates one batch job arriving at an idle, fully powered-down cluster

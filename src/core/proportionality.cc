@@ -40,7 +40,7 @@ sim::Process DriveLoad(hw::ServerNode& node, double load,
 
 ProportionalityReport MeasureProportionality(
     const hw::HardwareProfile& profile, const std::vector<double>& loads,
-    const obs::CaptureWants& wants) {
+    const obs::TraceMetricsWants& wants) {
   ProportionalityReport report;
   report.idle_power = profile.power.idle;
   report.busy_power = profile.power.busy;

@@ -49,7 +49,7 @@ ProportionalityReport MeasureProportionality(
     const hw::HardwareProfile& profile,
     const std::vector<double>& loads = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                         0.6, 0.7, 0.8, 0.9, 1.0},
-    const obs::CaptureWants& wants = {});
+    const obs::TraceMetricsWants& wants = {});
 
 }  // namespace wimpy::core
 

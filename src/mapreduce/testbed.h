@@ -52,12 +52,9 @@ MrClusterConfig EdisonMrCluster(int slaves);
 MrClusterConfig DellMrCluster(int slaves);
 
 // Columns of MrRunResult::timeline: the slaves' psutil view
-// (cluster::Cluster::PublishRoleMetrics) plus the job's progress.
+// (cluster::RoleColumn) followed by the job's progress.
 enum TimelineColumn : std::size_t {
-  kTimelineCpuPct,
-  kTimelineMemoryPct,
-  kTimelinePowerW,
-  kTimelineMapPct,
+  kTimelineMapPct = cluster::kRoleColumns,
   kTimelineReducePct,
 };
 

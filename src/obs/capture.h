@@ -21,10 +21,16 @@
 
 namespace wimpy::obs {
 
-// Which sinks a capture creates; the rest stay null (off).
-struct CaptureWants {
+// The sinks a run without the online plane can feed: a MapReduce
+// cluster (MrClusterConfig) or a bare node takes only a tracer and a
+// metrics registry.
+struct TraceMetricsWants {
   bool trace = false;
   bool metrics = false;
+};
+
+// Which sinks a capture creates; the rest stay null (off).
+struct CaptureWants : TraceMetricsWants {
   bool telemetry = false;
   bool energy = false;
 };
@@ -40,6 +46,7 @@ struct Captured {
 
 class Capture {
  public:
+  explicit Capture(const TraceMetricsWants& wants);
   explicit Capture(const CaptureWants& wants);
 
   Capture(const Capture&) = delete;

@@ -148,15 +148,15 @@ std::string RenderMetricsCsv(const std::vector<MetricsSeries>& series) {
   std::string out = "series,time_s,metric,value\n";
   for (std::size_t idx = 0; idx < series.size(); ++idx) {
     const MetricsSeries& s = series[idx];
-    for (std::size_t row = 0; row < s.rows.size(); ++row) {
+    for (std::size_t row = 0; row < s.row_count(); ++row) {
       const std::string prefix =
           std::to_string(idx) + "," + Num(s.times[row]) + ",";
-      for (std::size_t col = 0;
-           col < s.names.size() && col < s.rows[row].size(); ++col) {
+      const std::span<const double> values = s.row(row);
+      for (std::size_t col = 0; col < values.size(); ++col) {
         out += prefix;
         out += s.names[col];
         out += ',';
-        out += Num(s.rows[row][col]);
+        out += Num(values[col]);
         out += '\n';
       }
     }

@@ -67,9 +67,7 @@ void MetricsRegistry::SampleNow() {
   if (detached_) DieDetached("SampleNow");
   if (sched_ == nullptr) return;
   series_.times.push_back(sched_->now());
-  auto& row = series_.rows.emplace_back();
-  row.reserve(probes_.size());
-  for (const Probe& probe : probes_) row.push_back(probe.fn());
+  for (const Probe& probe : probes_) series_.values.push_back(probe.fn());
 }
 
 void MetricsRegistry::Tick() {

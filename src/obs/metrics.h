@@ -25,6 +25,7 @@
 #define WIMPY_OBS_METRICS_H_
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,11 +35,18 @@
 namespace wimpy::obs {
 
 // The extracted time series: what a replication returns from a sweep.
-// `rows[i]` aligns with `times[i]`; row width equals `names.size()`.
+// Samples are stored row-major in one flat vector, so taking a sample
+// allocates nothing once capacity is reached: `row(i)` is the sample at
+// `times[i]`, one value per name.
 struct MetricsSeries {
   std::vector<std::string> names;
   std::vector<SimTime> times;
-  std::vector<std::vector<double>> rows;
+  std::vector<double> values;
+
+  std::size_t row_count() const { return times.size(); }
+  std::span<const double> row(std::size_t i) const {
+    return {values.data() + i * names.size(), names.size()};
+  }
 };
 
 class MetricsRegistry {

@@ -119,9 +119,13 @@ void RunSinks::SampleFinal() {
   if (metrics != nullptr) metrics->SampleNow();
 }
 
-Capture::Capture(const CaptureWants& wants) {
+Capture::Capture(const TraceMetricsWants& wants) {
   if (wants.trace) sinks_.tracer = &tracer_;
   if (wants.metrics) sinks_.metrics = &metrics_;
+}
+
+Capture::Capture(const CaptureWants& wants)
+    : Capture(static_cast<const TraceMetricsWants&>(wants)) {
   if (wants.telemetry) sinks_.telemetry = &telemetry_;
   if (wants.energy) sinks_.energy = &energy_;
 }

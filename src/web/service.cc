@@ -576,17 +576,20 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
   report.executed_events = tb.sched.executed_events();
   report.peak_calls_in_flight = tb.peak_calls_in_flight;
 
-  // Columns 0 and 1 are the role's cpu_pct and memory_pct.
-  auto mean_of = [](const obs::MetricsSeries& series, std::size_t column) {
-    if (series.rows.empty()) return 0.0;
+  auto mean_of = [](const obs::MetricsSeries& series,
+                    cluster::RoleColumn column) {
+    if (series.row_count() == 0) return 0.0;
     double sum = 0;
-    for (const auto& row : series.rows) sum += row[column];
-    return sum / static_cast<double>(series.rows.size());
+    for (std::size_t i = 0; i < series.row_count(); ++i) {
+      sum += series.row(i)[column];
+    }
+    return sum / static_cast<double>(series.row_count());
   };
-  report.web_cpu_pct = mean_of(web_tier.series(), 0);
-  report.web_memory_pct = mean_of(web_tier.series(), 1);
-  report.cache_cpu_pct = mean_of(cache_tier.series(), 0);
-  report.cache_memory_pct = mean_of(cache_tier.series(), 1);
+  report.web_cpu_pct = mean_of(web_tier.series(), cluster::kRoleCpuPct);
+  report.web_memory_pct = mean_of(web_tier.series(), cluster::kRoleMemoryPct);
+  report.cache_cpu_pct = mean_of(cache_tier.series(), cluster::kRoleCpuPct);
+  report.cache_memory_pct =
+      mean_of(cache_tier.series(), cluster::kRoleMemoryPct);
   CollectServerDelays(tb, &report);
   return report;
 }

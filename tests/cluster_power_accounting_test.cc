@@ -71,7 +71,7 @@ TEST_F(PowerAccountingTest, RoleTimelineDoesNotPerturbEnergy) {
       2 * p.idle * 16.0 +
       (p.busy - p.idle) * p.cpu_weight * core_frac * 8.0;
   EXPECT_NEAR(cluster_.CumulativeJoules(), expected, expected * 1e-9);
-  EXPECT_GE(timeline.series().rows.size(), 60u);
+  EXPECT_GE(timeline.series().row_count(), 60u);
 }
 
 TEST_F(PowerAccountingTest, WattsMatchDerivativeOfJoules) {

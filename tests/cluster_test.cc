@@ -84,15 +84,15 @@ TEST_F(ClusterTest, RoleMetricsRecordTimeline) {
   ASSERT_EQ(series.names,
             (std::vector<std::string>{"w.cpu_pct", "w.memory_pct",
                                       "w.power_w", "progress"}));
-  const auto& rows = series.rows;
-  ASSERT_GE(rows.size(), 10u);
+  ASSERT_GE(series.row_count(), 10u);
   EXPECT_EQ(series.times[0], 0.0);
-  EXPECT_NEAR(rows[2][0], 50.0, 1e-6);  // one of two cores busy
-  EXPECT_NEAR(rows[7][0], 0.0, 1e-6);   // after completion
-  EXPECT_GT(rows[2][2], 1.40);
-  EXPECT_NEAR(rows[8][2], 1.40, 1e-9);
-  EXPECT_EQ(rows[2][3], 0.0);
-  EXPECT_EQ(rows[4][3], 50.0);
+  // One of two cores busy, then idle after completion.
+  EXPECT_NEAR(series.row(2)[kRoleCpuPct], 50.0, 1e-6);
+  EXPECT_NEAR(series.row(7)[kRoleCpuPct], 0.0, 1e-6);
+  EXPECT_GT(series.row(2)[kRolePowerW], 1.40);
+  EXPECT_NEAR(series.row(8)[kRolePowerW], 1.40, 1e-9);
+  EXPECT_EQ(series.row(2)[kRoleColumns], 0.0);  // "progress"
+  EXPECT_EQ(series.row(4)[kRoleColumns], 50.0);
 }
 
 TEST_F(ClusterTest, RoleTimelineStopCancelsFutureSamples) {
@@ -103,7 +103,7 @@ TEST_F(ClusterTest, RoleTimelineStopCancelsFutureSamples) {
   sched_.ScheduleAt(3.5, [&] { timeline.Stop(); });
   sched_.ScheduleAt(10.0, [] {});
   sched_.Run();
-  EXPECT_EQ(timeline.series().rows.size(), 4u);  // t = 0, 1, 2, 3
+  EXPECT_EQ(timeline.series().row_count(), 4u);  // t = 0, 1, 2, 3
 }
 
 }  // namespace

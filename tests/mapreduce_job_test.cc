@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "hw/profiles.h"
 #include "mapreduce/testbed.h"
 
@@ -67,7 +69,7 @@ TEST(MrJobTest, WordCountRunsToCompletion) {
   EXPECT_EQ(result.job.reduce_tasks, 8);
   EXPECT_GT(result.slave_joules, 0);
   EXPECT_GT(result.work_done_per_joule, 0);
-  EXPECT_FALSE(result.timeline.rows.empty());
+  EXPECT_GT(result.timeline.row_count(), 0u);
 }
 
 TEST(MrJobTest, TimelineShowsUtilisationAndProgress) {
@@ -78,16 +80,19 @@ TEST(MrJobTest, TimelineShowsUtilisationAndProgress) {
   // Map progress is monotone and ends at 100; CPU shows real activity.
   double prev = -1;
   double peak_cpu = 0;
-  const auto& rows = result.timeline.rows;
-  for (const auto& s : rows) {
+  const obs::MetricsSeries& timeline = result.timeline;
+  ASSERT_GT(timeline.row_count(), 1u);
+  for (std::size_t i = 0; i < timeline.row_count(); ++i) {
+    const std::span<const double> s = timeline.row(i);
     EXPECT_GE(s[kTimelineMapPct], prev);
     prev = s[kTimelineMapPct];
-    peak_cpu = std::max(peak_cpu, s[kTimelineCpuPct]);
+    peak_cpu = std::max(peak_cpu, s[cluster::kRoleCpuPct]);
   }
-  EXPECT_NEAR(rows.back()[kTimelineMapPct], 100.0, 1e-9);
+  EXPECT_NEAR(timeline.row(timeline.row_count() - 1)[kTimelineMapPct], 100.0,
+              1e-9);
   EXPECT_GT(peak_cpu, 50.0);
   // Memory telemetry includes the daemon baseline (~37% on Edison).
-  EXPECT_GT(rows.front()[kTimelineMemoryPct], 30.0);
+  EXPECT_GT(timeline.row(0)[cluster::kRoleMemoryPct], 30.0);
   // One row per simulated second from the job's start.
   EXPECT_EQ(result.timeline.times.front(), 0.0);
   EXPECT_EQ(result.timeline.times[1], 1.0);

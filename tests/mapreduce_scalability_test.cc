@@ -63,7 +63,7 @@ TEST(MrDeterminismTest, SameSeedSameResult) {
   EXPECT_EQ(a.job.elapsed, b.job.elapsed);
   EXPECT_EQ(a.slave_joules, b.slave_joules);
   EXPECT_EQ(a.job.data_local_fraction, b.job.data_local_fraction);
-  ASSERT_EQ(a.timeline.rows.size(), b.timeline.rows.size());
+  ASSERT_EQ(a.timeline.row_count(), b.timeline.row_count());
 }
 
 TEST(MrDeterminismTest, DifferentSeedDifferentPlacement) {

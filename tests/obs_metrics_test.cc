@@ -48,9 +48,10 @@ TEST(MetricsRegistryTest, SamplesOnTheSimulatedClock) {
   ASSERT_EQ(s.names, (std::vector<std::string>{"level", "total"}));
   const std::vector<double> want_level = {0, 0, 0, 3, 3, 3, 3};
   const std::vector<double> want_total = {0, 0, 0, 10, 10, 15, 15};
-  for (std::size_t i = 0; i < s.rows.size(); ++i) {
-    EXPECT_EQ(s.rows[i][0], want_level[i]) << "row " << i;
-    EXPECT_EQ(s.rows[i][1], want_total[i]) << "row " << i;
+  ASSERT_EQ(s.values.size(), 2 * want_times.size());
+  for (std::size_t i = 0; i < s.row_count(); ++i) {
+    EXPECT_EQ(s.row(i)[0], want_level[i]) << "row " << i;
+    EXPECT_EQ(s.row(i)[1], want_total[i]) << "row " << i;
   }
 }
 
@@ -61,15 +62,15 @@ TEST(MetricsRegistryTest, TakeSeriesKeepsProbesRegistered) {
   registry.Start(&sched, Seconds(1));
   registry.Stop();
   const MetricsSeries first = registry.TakeSeries();
-  ASSERT_EQ(first.rows.size(), 1u);  // the immediate Start() sample
+  ASSERT_EQ(first.row_count(), 1u);  // the immediate Start() sample
 
   // The registry can keep sampling into a fresh series with the same
   // column set.
   registry.SampleNow();
   const MetricsSeries second = registry.TakeSeries();
   EXPECT_EQ(second.names, first.names);
-  ASSERT_EQ(second.rows.size(), 1u);
-  EXPECT_EQ(second.rows[0][0], 1.0);
+  ASSERT_EQ(second.row_count(), 1u);
+  EXPECT_EQ(second.row(0)[0], 1.0);
 }
 
 // The Detach() lifetime guard (docs/telemetry.md): experiments sever
@@ -105,7 +106,7 @@ TEST(MetricsExportTest, CsvLongFormatGolden) {
   MetricsSeries s;
   s.names = {"a", "b"};
   s.times = {0, 1.5};
-  s.rows = {{0.5, 2}, {0.25, 4}};
+  s.values = {0.5, 2, 0.25, 4};
   const std::string csv = RenderMetricsCsv({s});
   EXPECT_EQ(csv,
             "series,time_s,metric,value\n"

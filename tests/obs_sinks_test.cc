@@ -1,9 +1,11 @@
 // obs::RunSinks trace sampling: one root trace in `trace_sample_every` by
-// a counter outside the random streams, and nothing without a tracer.
+// a counter outside the random streams, and nothing without a tracer;
+// obs::Capture creates exactly the sinks it is asked for.
 #include "obs/sinks.h"
 
 #include <gtest/gtest.h>
 
+#include "obs/capture.h"
 #include "obs/tracer.h"
 #include "sim/scheduler.h"
 
@@ -52,6 +54,32 @@ TEST(RunSinksTest, NullTracerGivesNullHandles) {
     EXPECT_EQ(handle.sched, nullptr);
   }
   EXPECT_FALSE(run.NewTrace(0));
+}
+
+TEST(CaptureTest, TraceMetricsWantsLeaveTheOnlinePlaneOff) {
+  TraceMetricsWants wants;
+  wants.trace = true;
+  wants.metrics = true;
+  Capture capture(wants);
+  EXPECT_NE(capture.sinks().tracer, nullptr);
+  EXPECT_NE(capture.sinks().metrics, nullptr);
+  EXPECT_EQ(capture.sinks().telemetry, nullptr);
+  EXPECT_EQ(capture.sinks().energy, nullptr);
+}
+
+TEST(CaptureTest, CaptureWantsCreateOnlyTheAskedSinks) {
+  CaptureWants wants;
+  wants.metrics = true;
+  wants.energy = true;
+  Capture capture(wants);
+  Sinks target;
+  target.trace_sample_every = 8;
+  capture.AttachTo(target);
+  EXPECT_EQ(target.tracer, nullptr);
+  EXPECT_NE(target.metrics, nullptr);
+  EXPECT_EQ(target.telemetry, nullptr);
+  EXPECT_NE(target.energy, nullptr);
+  EXPECT_EQ(target.trace_sample_every, 8);  // the rate is the target's
 }
 
 }  // namespace
