@@ -19,6 +19,8 @@
 // --determinism prints a golden-trace prefix + final stats instead (no
 // wall-clock, no RSS): the large-N determinism check in
 // tools/check_trace.sh diffs this output at --threads=1 vs 8.
+#include <regex.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -27,7 +29,6 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
-#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -213,10 +214,19 @@ std::vector<Cell> BuildCells(const Flags& flags) {
     }
   }
   if (!flags.filter.empty()) {
-    const std::regex re(flags.filter);
+    // POSIX extended syntax. The re-run filters that
+    // tools/check_bench_regression.sh writes (names, `|`, `(/|$)`) mean
+    // the same in it as in std::regex's ECMAScript.
+    regex_t re;
+    if (regcomp(&re, flags.filter.c_str(), REG_EXTENDED | REG_NOSUB) != 0) {
+      std::fprintf(stderr, "invalid --filter regex: %s\n",
+                   flags.filter.c_str());
+      std::exit(2);
+    }
     std::erase_if(cells, [&](const Cell& c) {
-      return !std::regex_search(c.run_name, re);
+      return regexec(&re, c.run_name.c_str(), 0, nullptr, 0) != 0;
     });
+    regfree(&re);
   }
   return cells;
 }

@@ -2,14 +2,15 @@
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "sim/batch_timer.h"
 
 namespace wimpy::net {
 
 TcpHost::TcpHost(Fabric* fabric, int node_id, const TcpConfig& config)
     : fabric_(fabric), node_id_(node_id), config_(config) {}
 
-TcpHost::~TcpHost() = default;
+TcpHost::~TcpHost() {
+  if (sweep_event_ != 0) fabric_->scheduler().Cancel(sweep_event_);
+}
 
 bool TcpHost::TryEnterBacklog() {
   if (backlog_depth_ >= config_.listen_backlog) return false;
@@ -22,6 +23,7 @@ void TcpHost::LeaveBacklog() {
 }
 
 bool TcpHost::TryOpenConnectionSlot() {
+  ExpireTimeWait();
   if (connections_open_ >= config_.max_connections) return false;
   ++connections_open_;
   return true;
@@ -29,19 +31,35 @@ bool TcpHost::TryOpenConnectionSlot() {
 
 void TcpHost::CloseConnectionSlot() {
   if (config_.time_wait > 0) {
-    // The slot stays occupied through TIME_WAIT. Expirations all use the
-    // same fixed delay, so they drain in close order — a batch timer
-    // queue coalesces same-tick expiries into one engine event.
-    if (!time_wait_timers_) {
-      time_wait_timers_ = std::make_unique<sim::BatchTimerQueue>(
-          &fabric_->scheduler(), config_.time_wait);
+    // The slot stays occupied until ExpireTimeWait sees its due time pass.
+    sim::Scheduler& sched = fabric_->scheduler();
+    time_wait_due_.push_back(sched.now() + config_.time_wait);
+    if (sweep_event_ == 0) {
+      sweep_event_ =
+          sched.ScheduleAt(time_wait_due_.back(), [this] { Sweep(); });
     }
-    time_wait_timers_->Arm([this] {
-      if (connections_open_ > 0) --connections_open_;
-    });
     return;
   }
   if (connections_open_ > 0) --connections_open_;
+}
+
+void TcpHost::ExpireTimeWait() {
+  const SimTime now = fabric_->scheduler().now();
+  while (!time_wait_due_.empty() && time_wait_due_.front() <= now) {
+    time_wait_due_.pop_front();
+    --connections_open_;
+  }
+}
+
+void TcpHost::Sweep() {
+  sweep_event_ = 0;
+  ExpireTimeWait();
+  // Whatever is left closed after this sweep was armed, so it is due
+  // later; chase the back until the FIFO empties.
+  if (!time_wait_due_.empty()) {
+    sweep_event_ = fabric_->scheduler().ScheduleAt(time_wait_due_.back(),
+                                                   [this] { Sweep(); });
+  }
 }
 
 bool TcpHost::TryAllocatePort() {
@@ -60,7 +78,7 @@ void TcpHost::PublishMetrics(obs::MetricsRegistry* registry,
     return static_cast<double>(ports_in_use_);
   });
   registry->AddGauge(prefix + ".conns", [this] {
-    return static_cast<double>(connections_open_);
+    return static_cast<double>(connections_open());
   });
   registry->AddGauge(prefix + ".backlog", [this] {
     return static_cast<double>(backlog_depth_);

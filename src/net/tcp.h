@@ -10,22 +10,19 @@
 #define WIMPY_NET_TCP_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/status.h"
 #include "net/fabric.h"
 #include "obs/context.h"
+#include "sim/ring_buffer.h"
+#include "sim/scheduler.h"
 #include "sim/semaphore.h"
 #include "sim/task.h"
 
 namespace wimpy::obs {
 class MetricsRegistry;
 }  // namespace wimpy::obs
-
-namespace wimpy::sim {
-class BatchTimerQueue;
-}  // namespace wimpy::sim
 
 namespace wimpy::net {
 
@@ -65,7 +62,8 @@ class TcpHost {
   bool TryEnterBacklog();
   void LeaveBacklog();
 
-  // Established-connection slots.
+  // Established-connection slots. With `time_wait` > 0 a closed slot
+  // stays occupied until its TIME_WAIT expires.
   bool TryOpenConnectionSlot();
   void CloseConnectionSlot();
 
@@ -74,7 +72,12 @@ class TcpHost {
   void ReleasePort();
 
   std::int64_t ports_in_use() const { return ports_in_use_; }
-  std::int64_t connections_open() const { return connections_open_; }
+  // Established plus TIME_WAIT slots. Not const: it first releases the
+  // TIME_WAIT slots whose expiry has passed.
+  std::int64_t connections_open() {
+    ExpireTimeWait();
+    return connections_open_;
+  }
   std::int64_t backlog_depth() const { return backlog_depth_; }
   std::int64_t syn_drops() const { return syn_drops_; }
   void CountSynDrop() { ++syn_drops_; }
@@ -92,10 +95,18 @@ class TcpHost {
   std::int64_t connections_open_ = 0;
   std::int64_t backlog_depth_ = 0;
   std::int64_t syn_drops_ = 0;
-  // Every TIME_WAIT expiry uses the same fixed delay, so the expirations
-  // form a FIFO — one batch queue replaces one engine event per close
-  // (lazily created on the first TIME_WAIT close).
-  std::unique_ptr<sim::BatchTimerQueue> time_wait_timers_;
+
+  // TIME_WAIT bookkeeping. Every close lingers for the same `time_wait`,
+  // so expiry times are non-decreasing in close order and one FIFO of due
+  // times holds them all. Slots are released lazily: every read of the
+  // slot count first drops the entries due at or before now. No event per
+  // close; one sweep event per host, armed at the FIFO's back due and
+  // re-armed at the new back when it fires, keeps the engine running
+  // until the last TIME_WAIT ends, exactly as one timer per close would.
+  void ExpireTimeWait();
+  void Sweep();
+  sim::RingDeque<SimTime> time_wait_due_;
+  sim::EventId sweep_event_ = 0;
 };
 
 // Outcome of a connection attempt, including how long the client spent in

@@ -55,16 +55,21 @@ void CountAlloc() {
 // Global replacements (C++ [replacement.functions]): every heap block the
 // process allocates while g_counting is set is counted, including the
 // fall-through path of the frame pool.
-void* operator new(std::size_t size) {
+//
+// The four base forms stay out of line, as the library's own are, and
+// every other form forwards to one of them. Inlined into a
+// new-expression, malloc on one side and free on the other would meet
+// and GCC would flag the pair (-Wmismatched-new-delete), though both are
+// these hooks.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   CountAlloc();
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     std::align_val_t align) {
   CountAlloc();
   const std::size_t a = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + a - 1) / a * a;
@@ -73,21 +78,29 @@ void* operator new(std::size_t size, std::align_val_t align) {
   return p;
 }
 
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+void operator delete[](void* p, std::align_val_t align) noexcept {
+  ::operator delete(p, align);
+}
+void operator delete(void* p, std::size_t, std::align_val_t align) noexcept {
+  ::operator delete(p, align);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t align) noexcept {
+  ::operator delete(p, align);
 }
 
 #if defined(WIMPY_FRAME_POOL_DISABLED)
@@ -194,8 +207,9 @@ TEST(ModelAllocTest, KvGetPutPathAllocatesNothingPerQuery) {
 // and Transfer frames pooled until its last byte lands. Frame-pool
 // high-water bytes per peak call in flight measure that state: ~2 KB
 // with a wrapper frame per transfer and by-value span state in every
-// frame, ~1.1 KB without. The run gets a fresh thread so its pool
-// starts empty and the high-water mark is this run's alone.
+// frame, ~1.1 KB without, and ~1 KB once the pool's size classes went
+// from 64 to 16 bytes. The run gets a fresh thread so its pool starts
+// empty and the high-water mark is this run's alone.
 TEST(ModelAllocTest, InFlightStatePerCallStaysSmall) {
   std::int64_t high_water_bytes = 0;
   std::int64_t peak_calls = 0;
@@ -221,7 +235,7 @@ TEST(ModelAllocTest, InFlightStatePerCallStaysSmall) {
                           static_cast<double>(peak_calls);
   RecordProperty("pool_high_water_bytes", static_cast<int>(high_water_bytes));
   RecordProperty("peak_calls_in_flight", static_cast<int>(peak_calls));
-  EXPECT_LE(per_call, 1400.0)
+  EXPECT_LE(per_call, 1200.0)
       << "in-flight state per call grew: " << high_water_bytes
       << " pooled bytes at a peak of " << peak_calls << " calls";
 }

@@ -1,12 +1,13 @@
-// Edge-case coverage for the network layer: TIME_WAIT slot occupancy,
-// zero-byte transfers, latency composition, and backlog bookkeeping under
-// the hold_backlog (accept-queue) protocol.
+// Edge-case coverage for the network layer: TIME_WAIT slot occupancy and
+// its lazy expiry FIFO, zero-byte transfers, latency composition, and
+// backlog bookkeeping under the hold_backlog (accept-queue) protocol.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "hw/profiles.h"
 #include "net/tcp.h"
+#include "obs/metrics.h"
 #include "sim/process.h"
 
 namespace wimpy::net {
@@ -73,6 +74,86 @@ TEST_F(NetEdgeTest, TimeWaitHoldsConnectionSlots) {
   sched_.Run(45.0);
   EXPECT_TRUE(r4.status.ok());
   sched_.Run();
+}
+
+// TIME_WAIT hosts below need no nodes: slot bookkeeping only reads the
+// fabric's clock, so a bare scheduler counts exactly the events TIME_WAIT
+// itself puts on the engine.
+struct TimeWaitHost {
+  explicit TimeWaitHost(int max_connections = 100000) {
+    TcpConfig cfg;
+    cfg.max_connections = max_connections;
+    cfg.time_wait = Seconds(30);
+    host = std::make_unique<TcpHost>(&fabric, 0, cfg);
+  }
+  // Opens and closes one connection at simulated time `t`.
+  void CycleAt(SimTime t) {
+    sched.Run(t);
+    ASSERT_TRUE(host->TryOpenConnectionSlot());
+    host->CloseConnectionSlot();
+  }
+
+  sim::Scheduler sched;
+  Fabric fabric{&sched};
+  std::unique_ptr<TcpHost> host;
+};
+
+TEST(TimeWaitTest, ThousandClosesRunAConstantNumberOfEvents) {
+  // One TIME_WAIT per close would be 1,000 engine events here. The sweep
+  // fires once at the first close's expiry and once at the last's.
+  TimeWaitHost tw;
+  for (int i = 0; i < 1000; ++i) tw.CycleAt(i * 0.01);
+  EXPECT_EQ(tw.host->connections_open(), 1000);
+  EXPECT_EQ(tw.sched.pending_events(), 1u);
+  tw.sched.Run();
+  EXPECT_EQ(tw.sched.executed_events(), 2u);
+  EXPECT_EQ(tw.host->connections_open(), 0);
+}
+
+TEST(TimeWaitTest, RunEndsWhenTheLastTimeWaitExpires) {
+  TimeWaitHost tw;
+  tw.CycleAt(0.5);
+  tw.CycleAt(3.0);
+  tw.CycleAt(7.25);
+  tw.sched.Run();
+  EXPECT_EQ(tw.sched.now(), 7.25 + 30);
+  EXPECT_EQ(tw.host->connections_open(), 0);
+  EXPECT_EQ(tw.sched.pending_events(), 0u);
+}
+
+TEST(TimeWaitTest, ExpiredSlotIsFreeBeforeAnySweepRuns) {
+  // Closes at 0, 1 and 2 expire at 30, 31 and 32. The sweep runs at 30
+  // and re-arms at 32, so at 31.5 only the lazy read releases the slot
+  // that expired at 31.
+  TimeWaitHost tw(/*max_connections=*/3);
+  obs::MetricsRegistry metrics;
+  tw.host->PublishMetrics(&metrics, "srv");
+  tw.CycleAt(0);
+  tw.CycleAt(1);
+  tw.CycleAt(2);
+  EXPECT_FALSE(tw.host->TryOpenConnectionSlot());  // all three linger
+
+  tw.sched.Run(31.5);
+  EXPECT_EQ(tw.sched.executed_events(), 1u);  // only the sweep at 30
+  metrics.Start(&tw.sched, Seconds(1));      // samples now: t = 31.5
+  metrics.Stop();
+  const obs::MetricsSeries& s = metrics.series();
+  ASSERT_EQ(s.names[1], "srv.conns");
+  EXPECT_EQ(s.row(0)[1], 1.0);  // the slot due at 32 alone
+  EXPECT_TRUE(tw.host->TryOpenConnectionSlot());
+  EXPECT_TRUE(tw.host->TryOpenConnectionSlot());
+  EXPECT_FALSE(tw.host->TryOpenConnectionSlot());
+  tw.sched.Run();
+}
+
+TEST(TimeWaitTest, DestroyingAHostCancelsItsSweep) {
+  TimeWaitHost tw;
+  tw.CycleAt(0);
+  tw.CycleAt(1);
+  ASSERT_EQ(tw.sched.pending_events(), 1u);
+  tw.host.reset();  // entries still in TIME_WAIT
+  EXPECT_EQ(tw.sched.pending_events(), 0u);
+  EXPECT_EQ(tw.sched.Run(), 0u);  // nothing fires into the freed host
 }
 
 TEST_F(NetEdgeTest, HoldBacklogKeepsSlotUntilExplicitRelease) {

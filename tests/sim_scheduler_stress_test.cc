@@ -29,16 +29,22 @@ std::uint64_t g_allocations = 0;
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The base forms stay out of line, as the library's own are, and the
+// others forward to them. Inlined into a new-expression, malloc on one
+// side and free on the other would meet and GCC would flag the pair
+// (-Wmismatched-new-delete), though both are these hooks.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_allocations;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace {
 

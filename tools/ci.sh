@@ -8,7 +8,8 @@
 #      guard for the "bit-identical at any --threads" machinery actually
 #      being data-race-free.
 #   2. WIMPY_ASAN — configures/builds a -fsanitize=address,undefined tree
-#      and runs every ctest test under it: the pooled steady-state request
+#      with -Werror (so every target must also build warning-free) and
+#      runs every ctest test under it: the pooled steady-state request
 #      path (coroutine frames, span and residency blocks, ring buffers,
 #      interned-id fabric tables — docs/scale.md), the obs exporters and
 #      the seed-77 golden scripts alike. The frame pool disables itself
@@ -59,12 +60,12 @@ fi
 if [[ "${SKIP_ASAN:-0}" == "0" ]]; then
   echo
   echo "== WIMPY_ASAN whole suite (SKIP_ASAN=1 to skip) =="
-  if [[ ! -f "${ASAN_BUILD_DIR}/CMakeCache.txt" ]]; then
-    cmake -B "${ASAN_BUILD_DIR}" -S . -DWIMPY_ASAN=ON \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  fi
+  # Configured on every run so an existing tree picks up -Werror too.
+  cmake -B "${ASAN_BUILD_DIR}" -S . -DWIMPY_ASAN=ON \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-Werror
   # Everything: the golden-script tests run bench binaries, so the whole
-  # tree is built, not just the test executables.
+  # tree is built, not just the test executables. That makes it the
+  # warning gate as well: -Werror fails CI on any warning in any target.
   cmake --build "${ASAN_BUILD_DIR}" -j "$(nproc)"
   # ASan's use-after-scope instrumentation keeps GCC from emitting the
   # tail calls symmetric transfer relies on, so a chain of Tasks that
