@@ -10,7 +10,6 @@
 // Every ablation case is one sweep configuration: --replications=N runs
 // each case N times with independent seeds on --threads workers and the
 // tables report mean±95% CI (docs/parallel.md).
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -21,7 +20,7 @@
 #include "common/table.h"
 #include "core/experiments.h"
 #include "hw/profiles.h"
-#include "sim/replication.h"
+#include "sweep_bench_util.h"
 
 namespace {
 
@@ -63,14 +62,11 @@ struct CaseStats {
 
 CaseStats StatsFor(const std::vector<CaseResult>& reps) {
   CaseStats s;
-  s.elapsed = SummarizeOver(reps, [](const CaseResult& r) { return r.elapsed; });
-  s.joules = SummarizeOver(reps, [](const CaseResult& r) { return r.joules; });
-  s.shuffle_bytes =
-      SummarizeOver(reps, [](const CaseResult& r) { return r.shuffle_bytes; });
-  s.map_tasks =
-      SummarizeOver(reps, [](const CaseResult& r) { return r.map_tasks; });
-  s.data_local =
-      SummarizeOver(reps, [](const CaseResult& r) { return r.data_local; });
+  s.elapsed = bench::Over(reps, &CaseResult::elapsed);
+  s.joules = bench::Over(reps, &CaseResult::joules);
+  s.shuffle_bytes = bench::Over(reps, &CaseResult::shuffle_bytes);
+  s.map_tasks = bench::Over(reps, &CaseResult::map_tasks);
+  s.data_local = bench::Over(reps, &CaseResult::data_local);
   return s;
 }
 
@@ -198,12 +194,8 @@ int main(int argc, char** argv) {
   }
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto sweep = sim::RunSweep(
+  const auto [sweep, sweep_seconds] = bench::TimedSweep(
       cases, plan, [](const Case& c, Rng& root) { return c.run(root); });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   std::vector<CaseStats> stats;
   stats.reserve(sweep.size());
@@ -305,8 +297,6 @@ int main(int argc, char** argv) {
         "clusters sit near 95%% data-local maps.\n");
   }
 
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cases.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cases.size(), plan, sweep_seconds);
   return 0;
 }

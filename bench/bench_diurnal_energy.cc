@@ -8,7 +8,6 @@
 // figures report mean±95% CI (docs/parallel.md). --trace/--metrics export
 // one log per sampled hour — each hour runs on a fresh testbed, so each
 // hour is its own trace pid / metrics series (docs/observability.md).
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -18,7 +17,7 @@
 #include "common/table.h"
 #include "core/diurnal.h"
 #include "obs_bench_util.h"
-#include "sim/replication.h"
+#include "sweep_bench_util.h"
 
 namespace {
 
@@ -64,13 +63,10 @@ int main(int argc, char** argv) {
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
   const obs::CaptureWants wants = bench::CaptureWantsFor(args);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, pattern, wants);
-  });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  auto [sweep, sweep_seconds] =
+      bench::TimedSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+        return RunCell(cell, root, pattern, wants);
+      });
 
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const auto& reps = sweep[c];
@@ -124,8 +120,6 @@ int main(int argc, char** argv) {
     }
   }
   bench::ExportCaptures(args, wants, std::move(captures));
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cells.size(), plan, sweep_seconds);
   return 0;
 }

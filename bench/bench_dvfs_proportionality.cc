@@ -12,7 +12,6 @@
 // --threads still parallelises the grid and --trace/--metrics export a
 // per-cell "duty" span plus per-second node probes
 // (docs/parallel.md, docs/observability.md).
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -24,7 +23,7 @@
 #include "hw/profiles.h"
 #include "obs_bench_util.h"
 #include "sim/process.h"
-#include "sim/replication.h"
+#include "sweep_bench_util.h"
 
 namespace {
 
@@ -152,19 +151,16 @@ int main(int argc, char** argv) {
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
   const obs::CaptureWants wants = bench::CaptureWantsFor(args);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    (void)root;  // the duty cells are deterministic by construction
-    if (cell.kind == Cell::kEdisonWork) {
-      return RunEdisonEqualWork(wants);
-    }
-    hw::GovernorPolicy ondemand = hw::GovernorPolicy::kOndemand;
-    return RunDuty(dell, cell.ondemand ? &ondemand : nullptr, cell.duty,
-                   wants);
-  });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  auto [sweep, sweep_seconds] =
+      bench::TimedSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+        (void)root;  // the duty cells are deterministic by construction
+        if (cell.kind == Cell::kEdisonWork) {
+          return RunEdisonEqualWork(wants);
+        }
+        hw::GovernorPolicy ondemand = hw::GovernorPolicy::kOndemand;
+        return RunDuty(dell, cell.ondemand ? &ondemand : nullptr, cell.duty,
+                       wants);
+      });
 
   TextTable table(
       "DVFS proportionality on a Dell R620 (200 s, one-core duty cycle)");
@@ -172,10 +168,9 @@ int main(int argc, char** argv) {
                    "Ideal proportional"});
   for (std::size_t d = 0; d < duties.size(); ++d) {
     const double duty = duties[d];
-    const MetricSummary fixed = SummarizeOver(
-        sweep[2 * d], [](const CellResult& r) { return r.joules; });
-    const MetricSummary scaled = SummarizeOver(
-        sweep[2 * d + 1], [](const CellResult& r) { return r.joules; });
+    const MetricSummary fixed = bench::Over(sweep[2 * d], &CellResult::joules);
+    const MetricSummary scaled =
+        bench::Over(sweep[2 * d + 1], &CellResult::joules);
     // A perfectly proportional server would draw busy power only while
     // working and nothing otherwise.
     const double core_fraction =
@@ -194,20 +189,17 @@ int main(int argc, char** argv) {
   table.Print();
 
   // Dell 0.5-duty fixed is cell index 6 in the grid above.
-  const MetricSummary dell_work = SummarizeOver(
-      sweep[6], [](const CellResult& r) { return r.joules; });
-  const MetricSummary edison_work = SummarizeOver(
-      sweep.back(), [](const CellResult& r) { return r.joules; });
-  const MetricSummary edison_time = SummarizeOver(
-      sweep.back(), [](const CellResult& r) { return r.elapsed_s; });
+  const MetricSummary dell_work = bench::Over(sweep[6], &CellResult::joules);
+  const MetricSummary edison_work =
+      bench::Over(sweep.back(), &CellResult::joules);
+  const MetricSummary edison_time =
+      bench::Over(sweep.back(), &CellResult::elapsed_s);
   std::printf(
       "\nSame instruction count, one Edison node (both cores): %.0f J over "
       "%.0f s vs Dell fixed-frequency %.0f J — the architectural route to "
       "efficiency dwarfs the DVFS route (paper §1).\n",
       edison_work.mean, edison_time.mean, dell_work.mean);
   bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cells.size(), plan, sweep_seconds);
   return 0;
 }

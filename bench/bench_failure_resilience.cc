@@ -12,7 +12,6 @@
 // reports mean±95% CI (docs/parallel.md). --trace/--metrics export
 // sampled connection spans and node/service probes
 // (docs/observability.md).
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -20,12 +19,13 @@
 #include "common/summary.h"
 #include "common/table.h"
 #include "obs_bench_util.h"
-#include "sim/replication.h"
+#include "sweep_bench_util.h"
 #include "web/service.h"
 
 namespace {
 
 using namespace wimpy;
+using bench::Over;
 
 struct Cell {
   const char* label = "";
@@ -65,12 +65,6 @@ CellResult RunCell(const Cell& cell, Rng& root,
   return res;
 }
 
-MetricSummary Over(const std::vector<CellResult>& reps,
-                   double CellResult::*member) {
-  return SummarizeOver(reps,
-                       [&](const CellResult& r) { return r.*member; });
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -84,13 +78,10 @@ int main(int argc, char** argv) {
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
   const obs::CaptureWants wants = bench::CaptureWantsFor(args);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, wants);
-  });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  auto [sweep, sweep_seconds] =
+      bench::TimedSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+        return RunCell(cell, root, wants);
+      });
 
   TextTable table("Web tier resilience: one server killed mid-run");
   table.SetHeader({"Cluster", "rps before", "rps after", "err before %",
@@ -113,8 +104,6 @@ int main(int argc, char** argv) {
       "Dell inherits 100%% extra offered load at its knee — latency and\n"
       "errors jump, the QoS cliff of Janapa Reddi et al. [29].\n");
   bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cells.size(), plan, sweep_seconds);
   return 0;
 }

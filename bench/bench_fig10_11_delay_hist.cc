@@ -10,13 +10,11 @@
 // with independent seeds on --threads workers, reports the scalar metrics
 // as mean±95% CI and merges the per-replication histograms into one
 // distribution (docs/parallel.md, docs/observability.md).
-#include <chrono>
 #include <cstdio>
 
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "obs_bench_util.h"
-#include "sim/replication.h"
 #include "web_bench_util.h"
 
 namespace {
@@ -27,10 +25,6 @@ constexpr double kTargetRps = 6000;
 constexpr double kHistMaxS = 8.0;
 constexpr std::size_t kHistBuckets = 32;
 
-struct Cell {
-  bool edison = true;
-};
-
 struct CellResult {
   double target_rps = 0;
   double achieved_rps = 0;
@@ -40,14 +34,9 @@ struct CellResult {
   obs::Captured obs;
 };
 
-CellResult RunCell(const Cell& cell, Rng& root,
+CellResult RunCell(const bench::WebScale& scale, Rng& root,
                    const obs::CaptureWants& wants) {
-  const bench::WebScale scale = cell.edison ? bench::EdisonScales().back()
-                                            : bench::DellScales().back();
-  web::WebTestbedConfig cfg =
-      cell.edison
-          ? web::EdisonWebTestbed(scale.web_servers, scale.cache_servers)
-          : web::DellWebTestbed(scale.web_servers, scale.cache_servers);
+  web::WebTestbedConfig cfg = bench::TestbedFor(scale);
   cfg.seed = root.Next();
   obs::Capture capture(wants);
   capture.AttachTo(cfg);
@@ -71,26 +60,22 @@ int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv);
   const int threads = ResolvedThreads(args);
 
-  const std::vector<Cell> cells = {{true}, {false}};
+  const std::vector<bench::WebScale> cells = {bench::EdisonScales().back(),
+                                              bench::DellScales().back()};
   const sim::SweepPlan plan{args.replications, threads, args.seed};
   const obs::CaptureWants wants = bench::CaptureWantsFor(args);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, wants);
-  });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  auto [sweep, sweep_seconds] = bench::TimedSweep(
+      cells, plan, [&](const bench::WebScale& scale, Rng& root) {
+        return RunCell(scale, root, wants);
+      });
 
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const bool edison = cells[c].edison;
     const auto& reps = sweep[c];
-    const MetricSummary achieved = SummarizeOver(
-        reps, [](const CellResult& r) { return r.achieved_rps; });
+    const MetricSummary achieved = bench::Over(reps, &CellResult::achieved_rps);
     const MetricSummary errors = SummarizeOver(
         reps, [](const CellResult& r) { return 100 * r.error_rate; });
-    const MetricSummary delay = SummarizeOver(
-        reps, [](const CellResult& r) { return r.mean_delay_ms; });
+    const MetricSummary delay = bench::Over(reps, &CellResult::mean_delay_ms);
 
     std::printf("== Figure %d: delay distribution on %s cluster ==\n",
                 edison ? 10 : 11, edison ? "Edison" : "Dell");
@@ -113,8 +98,6 @@ int main(int argc, char** argv) {
       "7 seconds (SYN retransmission backoff), because ~3000 fresh\n"
       "connections/sec funnel into only 2 servers' accept queues.\n");
   bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cells.size(), plan, sweep_seconds);
   return 0;
 }

@@ -15,7 +15,6 @@
 // outstanding, 512 queued) so the overloaded cells actually shed — the
 // incident the shed/burn-rate alert rules exist to catch; combine with
 // --slo-ms to arm the SLO rules.
-#include <chrono>
 #include <cstdio>
 
 #include "common/bench_args.h"
@@ -24,11 +23,12 @@
 #include "hw/profiles.h"
 #include "kv/experiment.h"
 #include "obs_bench_util.h"
-#include "sim/replication.h"
+#include "sweep_bench_util.h"
 
 namespace {
 
 using namespace wimpy;
+using bench::Over;
 
 struct Cell {
   double qps = 0;
@@ -88,12 +88,6 @@ CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args,
   return res;
 }
 
-MetricSummary Over(const std::vector<CellResult>& reps,
-                   double CellResult::*member) {
-  return SummarizeOver(reps,
-                       [&](const CellResult& r) { return r.*member; });
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -113,13 +107,10 @@ int main(int argc, char** argv) {
   const sim::SweepPlan plan{args.replications, threads, args.seed};
   const obs::CaptureWants wants =
       bench::CaptureWantsFor(args, /*energy=*/true, /*telemetry=*/true);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, args, wants);
-  });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  auto [sweep, sweep_seconds] =
+      bench::TimedSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+        return RunCell(cell, root, args, wants);
+      });
 
   TextTable table("FAWN-style key-value serving (90% GET, 1 KB values)");
   // The attributed-energy column rides along when the energy ledger is
@@ -171,8 +162,6 @@ int main(int argc, char** argv) {
       "several-fold higher — consistent with this paper's web results;\n"
       "and the ring absorbs node failures with no visible outage.\n");
   bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cells.size(), plan, sweep_seconds);
   return 0;
 }

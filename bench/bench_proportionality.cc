@@ -10,7 +10,6 @@
 // (docs/parallel.md). --trace/--metrics export per-load-point spans and
 // node probes, plus per-strategy MapReduce task spans
 // (docs/observability.md).
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -21,7 +20,7 @@
 #include "core/proportionality.h"
 #include "hw/profiles.h"
 #include "obs_bench_util.h"
-#include "sim/replication.h"
+#include "sweep_bench_util.h"
 
 namespace {
 
@@ -69,13 +68,10 @@ int main(int argc, char** argv) {
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
   const obs::CaptureWants wants = bench::CaptureWantsFor(args);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, wants);
-  });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  auto [sweep, sweep_seconds] =
+      bench::TimedSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+        return RunCell(cell, root, wants);
+      });
 
   // --- power-vs-load curves ----------------------------------------------
   for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -149,8 +145,6 @@ int main(int argc, char** argv) {
     }
   }
   bench::ExportCaptures(args, wants, std::move(captures));
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cells.size(), plan, sweep_seconds);
   return 0;
 }

@@ -27,7 +27,6 @@
 // cutover), so tools/trace_analyze.py decomposes cross-rack time and
 // rebalance cost from the same file (the seed-77 golden pins both).
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -39,11 +38,12 @@
 #include "common/table.h"
 #include "obs_bench_util.h"
 #include "shard/experiment.h"
-#include "sim/replication.h"
+#include "sweep_bench_util.h"
 
 namespace {
 
 using namespace wimpy;
+using bench::Over;
 
 constexpr double kMeasureSeconds = 10.0;
 
@@ -175,12 +175,6 @@ CellResult RunCell(const Cell& cell, Rng& root,
   return res;
 }
 
-MetricSummary Over(const std::vector<CellResult>& reps,
-                   double CellResult::*member) {
-  return SummarizeOver(reps,
-                       [&](const CellResult& r) { return r.*member; });
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -208,13 +202,10 @@ int main(int argc, char** argv) {
       bench::CaptureWantsFor(args, /*energy=*/true);
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, wants, determinism);
-  });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  auto [sweep, sweep_seconds] =
+      bench::TimedSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+        return RunCell(cell, root, wants, determinism);
+      });
 
   if (determinism) {
     // Pure function of (cells, seed, replications): per-replication final
@@ -271,9 +262,7 @@ int main(int argc, char** argv) {
       "a join/leave mid-run streams\nits shards over the same fabric and "
       "commits with zero failed requests.\n");
   bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cells.size(), plan, sweep_seconds);
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

@@ -19,7 +19,6 @@
 //   --determinism    print per-replication final stats (a pure function
 //                    of cells + seed) and exit; tools/check_trace.sh
 //                    diffs this output at --threads=1 vs 8.
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -30,13 +29,14 @@
 #include "common/summary.h"
 #include "common/table.h"
 #include "load/openloop.h"
-#include "sim/replication.h"
+#include "sweep_bench_util.h"
 #include "web/service.h"
 #include "web_bench_util.h"
 
 namespace {
 
 using namespace wimpy;
+using bench::Over;
 using bench::WebScale;
 
 // Per-tier shape: the smallest scale-ladder rung of each platform, a
@@ -118,12 +118,7 @@ struct CellResult {
 };
 
 CellResult RunCell(const Cell& cell, Rng& root) {
-  web::WebTestbedConfig cfg =
-      cell.tier.scale.edison
-          ? web::EdisonWebTestbed(cell.tier.scale.web_servers,
-                                  cell.tier.scale.cache_servers)
-          : web::DellWebTestbed(cell.tier.scale.web_servers,
-                                cell.tier.scale.cache_servers);
+  web::WebTestbedConfig cfg = bench::TestbedFor(cell.tier.scale);
   cfg.seed = root.Next();
   web::WebExperiment exp(std::move(cfg));
   CellResult res;
@@ -165,12 +160,6 @@ CellResult RunCell(const Cell& cell, Rng& root) {
   return res;
 }
 
-MetricSummary Over(const std::vector<CellResult>& reps,
-                   double CellResult::*member) {
-  return SummarizeOver(reps,
-                       [&](const CellResult& r) { return r.*member; });
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,13 +185,10 @@ int main(int argc, char** argv) {
   const std::vector<Cell> cells = BuildCells();
   const double measure_seconds = bench::MeasureWindow();
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root);
-  });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  auto [sweep, sweep_seconds] =
+      bench::TimedSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+        return RunCell(cell, root);
+      });
 
   if (determinism) {
     // Pure function of (cells, seed, replications); tools/check_trace.sh
@@ -284,9 +270,7 @@ int main(int argc, char** argv) {
       "past the knee the closed loop self-throttles while the open loop\n"
       "queues and sheds, so honest p99 explodes, SLO-good %% collapses,\n"
       "and burstiness (MMPP) drags the knee earlier (docs/openloop.md).\n");
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cells.size(), plan, sweep_seconds);
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

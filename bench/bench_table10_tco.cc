@@ -2,6 +2,7 @@
 // total-cost-of-ownership comparison (Table 10) between the 35-node Edison
 // cluster and the 2-3 node Dell cluster.
 #include <cstdio>
+#include <string>
 
 #include "common/csv.h"
 #include "common/table.h"
@@ -12,6 +13,9 @@ int main() {
   using namespace wimpy;
   using core::Compare;
   using core::TcoComparison;
+  auto usd = [](double value, int decimals) {
+    return std::string("$").append(TextTable::Num(value, decimals));
+  };
 
   const auto edison_params = core::TcoParamsFor(hw::EdisonProfile());
   const auto dell_params = core::TcoParamsFor(hw::DellR620Profile());
@@ -19,9 +23,9 @@ int main() {
   TextTable notations("Table 9: TCO notations and values");
   notations.SetHeader({"Notation", "Description", "Value"});
   notations.AddRow({"Cs,Edison", "Cost of 1 Edison node",
-                    "$" + TextTable::Num(edison_params.unit_cost_usd, 0)});
+                    usd(edison_params.unit_cost_usd, 0)});
   notations.AddRow({"Cs,Dell", "Cost of 1 Dell server",
-                    "$" + TextTable::Num(dell_params.unit_cost_usd, 0)});
+                    usd(dell_params.unit_cost_usd, 0)});
   notations.AddRow({"Ceph", "Cost of electricity", "$0.10/kWh"});
   notations.AddRow({"Ts", "Server lifetime", "3 years"});
   notations.AddRow({"Pp,Dell", "Peak power of 1 Dell",
@@ -44,8 +48,7 @@ int main() {
   double max_savings = 0;
   for (const auto& scenario : core::PaperTable10Scenarios()) {
     const TcoComparison cmp = Compare(scenario);
-    table.AddRow({cmp.name, "$" + TextTable::Num(cmp.a_total_usd, 1),
-                  "$" + TextTable::Num(cmp.b_total_usd, 1),
+    table.AddRow({cmp.name, usd(cmp.a_total_usd, 1), usd(cmp.b_total_usd, 1),
                   TextTable::Num(100 * cmp.savings_fraction, 1) + "%",
                   paper[i++]});
     max_savings = std::max(max_savings, cmp.savings_fraction);

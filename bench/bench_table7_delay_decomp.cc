@@ -11,7 +11,6 @@
 // `svc.*_delay_mean` samples reproduce this table exactly; a test pins
 // that cross-check, and another pins that the same decomposition is
 // re-derivable from the causal trace's critical path alone.
-#include <chrono>
 #include <cstdio>
 
 #include "common/bench_args.h"
@@ -19,7 +18,6 @@
 #include "common/summary.h"
 #include "common/table.h"
 #include "obs_bench_util.h"
-#include "sim/replication.h"
 #include "web_bench_util.h"
 
 namespace {
@@ -41,12 +39,7 @@ struct CellResult {
 
 CellResult RunCell(const Cell& cell, Rng& root,
                    const obs::CaptureWants& wants) {
-  web::WebTestbedConfig cfg =
-      cell.scale.edison
-          ? web::EdisonWebTestbed(cell.scale.web_servers,
-                                  cell.scale.cache_servers)
-          : web::DellWebTestbed(cell.scale.web_servers,
-                                cell.scale.cache_servers);
+  web::WebTestbedConfig cfg = bench::TestbedFor(cell.scale);
   cfg.seed = root.Next();
   obs::Capture capture(wants);
   capture.AttachTo(cfg);
@@ -80,14 +73,10 @@ int main(int argc, char** argv) {
   const sim::SweepPlan plan{args.replications, threads, args.seed};
   const obs::CaptureWants wants =
       bench::CaptureWantsFor(args, /*energy=*/true);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep =
-      sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+  auto [sweep, sweep_seconds] =
+      bench::TimedSweep(cells, plan, [&](const Cell& cell, Rng& root) {
         return RunCell(cell, root, wants);
       });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   TextTable table(
       "Table 7: delay decomposition in ms, (Edison, Dell) per cell");
@@ -102,15 +91,12 @@ int main(int argc, char** argv) {
   for (double rate : rates) {
     const auto& edison_reps = sweep[cell_idx++];
     const auto& dell_reps = sweep[cell_idx++];
-    auto mean = [](const std::vector<CellResult>& reps,
-                   double CellResult::* member) {
-      return SummarizeOver(reps, [member](const CellResult& r) {
-               return r.*member;
-             }).mean;
-    };
-    auto pair = [&](double CellResult::* member) {
-      return "(" + TextTable::Num(mean(edison_reps, member), 2) + ", " +
-             TextTable::Num(mean(dell_reps, member), 2) + ")";
+    auto pair = [&](double CellResult::*member) {
+      return std::string("(")
+          .append(TextTable::Num(bench::Over(edison_reps, member).mean, 2))
+          .append(", ")
+          .append(TextTable::Num(bench::Over(dell_reps, member).mean, 2))
+          .append(")");
     };
     std::vector<std::string> row{TextTable::Num(rate, 0),
                                  pair(&CellResult::db_ms),
@@ -129,8 +115,6 @@ int main(int argc, char** argv) {
       "Shape: Edison cache delay grows ~45x over this range while its DB\n"
       "delay merely doubles; Dell's stays flat throughout.\n");
   bench::ExportCaptures(args, wants, bench::SweepCaptures(sweep));
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cells.size(), plan, sweep_seconds);
   return 0;
 }

@@ -7,7 +7,6 @@
 // with independent seeds on --threads workers and reports mean±95% CI
 // (docs/parallel.md). The default single replication keeps the paper's
 // one-run table shape.
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -17,7 +16,7 @@
 #include "common/summary.h"
 #include "common/table.h"
 #include "core/experiments.h"
-#include "sim/replication.h"
+#include "sweep_bench_util.h"
 
 namespace {
 
@@ -79,11 +78,7 @@ int main(int argc, char** argv) {
   }
 
   const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto sweep = sim::RunSweep(cells, plan, RunCell);
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const auto [sweep, sweep_seconds] = bench::TimedSweep(cells, plan, RunCell);
 
   TextTable table("Table 8: execution time and energy vs cluster size");
   std::vector<std::string> header{"Job"};
@@ -104,10 +99,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < per_job; ++i, ++cell_idx) {
       const Cell& cell = cells[cell_idx];
       const auto& reps = sweep[cell_idx];
-      const MetricSummary elapsed =
-          SummarizeOver(reps, [](const CellResult& r) { return r.elapsed; });
-      const MetricSummary joules =
-          SummarizeOver(reps, [](const CellResult& r) { return r.joules; });
+      const MetricSummary elapsed = bench::Over(reps, &CellResult::elapsed);
+      const MetricSummary joules = bench::Over(reps, &CellResult::joules);
       row.push_back(FormatMeanCI(elapsed, 0) + "s," + FormatMeanCI(joules, 0) +
                     "J");
       if (cell.edison) {
@@ -162,8 +155,6 @@ int main(int argc, char** argv) {
       "inputs (wordcount2/logcount2) helps Dell far more than Edison;\n"
       "light jobs scale worst (logcount2's small-cluster runs use the\n"
       "least total energy).\n");
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::PrintSweepFooter(cells.size(), plan, sweep_seconds);
   return 0;
 }

@@ -1,6 +1,6 @@
 // Shared helpers for the web-service bench binaries (Figures 4-11,
-// Table 7): the paper's scale ladder, concurrency levels, and row
-// formatting.
+// Table 7): the paper's scale ladder and concurrency levels, and the
+// closed-loop grid Figures 4-9 sweep with its table printers.
 #ifndef WIMPY_BENCH_WEB_BENCH_UTIL_H_
 #define WIMPY_BENCH_WEB_BENCH_UTIL_H_
 
@@ -10,7 +10,12 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bench_args.h"
+#include "common/csv.h"
+#include "common/summary.h"
 #include "common/table.h"
+#include "obs_bench_util.h"
+#include "sweep_bench_util.h"
 #include "web/service.h"
 
 namespace wimpy::bench {
@@ -39,11 +44,11 @@ inline std::vector<double> ConcurrencyLevels() {
   return {8, 16, 32, 64, 128, 256, 512, 1024, 2048};
 }
 
-inline web::WebExperiment MakeExperiment(const WebScale& scale) {
-  return web::WebExperiment(
-      scale.edison
-          ? web::EdisonWebTestbed(scale.web_servers, scale.cache_servers)
-          : web::DellWebTestbed(scale.web_servers, scale.cache_servers));
+// The testbed a rung of the ladder stands for.
+inline web::WebTestbedConfig TestbedFor(const WebScale& scale) {
+  return scale.edison
+             ? web::EdisonWebTestbed(scale.web_servers, scale.cache_servers)
+             : web::DellWebTestbed(scale.web_servers, scale.cache_servers);
 }
 
 // Measurement windows: short by default so the whole bench suite stays
@@ -64,6 +69,159 @@ inline Duration MeasureWindowFor(double concurrency) {
   const Duration base = MeasureWindow();
   if (concurrency >= 1024 && base < Seconds(45)) return Seconds(45);
   return base;
+}
+
+// -- The closed-loop grid of Figures 4-9 -------------------------------
+//
+// One cell is one httperf closed loop: a scale, a concurrency and a
+// workload mix. Each bench lists its cells in print order. RunSweep seeds
+// every cell from its index, so that order is part of the output.
+struct WebCell {
+  WebScale scale;
+  double concurrency = 0;
+  web::WorkloadMix mix;
+};
+
+struct WebCellResult {
+  double rps = 0;
+  double error_rate = 0;
+  double delay_ms = 0;
+  double power = 0;
+  double mj_per_req = 0;       // attributed, from the energy ledger
+  double disp_p99_ms = 0;      // p99, service start -> completion
+  double intended_p99_ms = 0;  // p99, connection intended -> completion
+  obs::Captured obs;
+};
+
+using WebSweep = std::vector<std::vector<WebCellResult>>;
+
+// A finished grid: its plan, the sinks its flags asked for (energy on, so
+// --trace-summary adds the mJ/req columns), and the timed sweep.
+struct WebGrid {
+  sim::SweepPlan plan;
+  obs::CaptureWants wants;
+  WebSweep sweep;
+  double seconds = 0;
+};
+
+inline WebGrid RunWebGrid(const std::vector<WebCell>& cells,
+                          const BenchArgs& args) {
+  const sim::SweepPlan plan{args.replications, ResolvedThreads(args),
+                            args.seed};
+  const obs::CaptureWants wants = CaptureWantsFor(args, /*energy=*/true);
+  auto [sweep, seconds] =
+      TimedSweep(cells, plan, [&](const WebCell& cell, Rng& root) {
+        web::WebTestbedConfig cfg = TestbedFor(cell.scale);
+        cfg.seed = root.Next();
+        obs::Capture capture(wants);
+        capture.AttachTo(cfg);
+        web::WebExperiment exp(std::move(cfg));
+        const web::LevelReport r = exp.MeasureClosedLoop(
+            cell.mix, cell.concurrency,
+            web::WebExperiment::TunedCallsPerConnection(cell.concurrency),
+            WarmupWindow(), MeasureWindowFor(cell.concurrency));
+        WebCellResult res;
+        res.rps = r.achieved_rps;
+        res.error_rate = r.error_rate;
+        res.delay_ms = 1000 * r.mean_response;
+        res.power = r.middle_tier_power;
+        res.disp_p99_ms = 1000 * r.p99_dispatch;
+        res.intended_p99_ms = 1000 * r.p99_conn_intended;
+        res.obs = capture.Take();
+        res.mj_per_req = MeanRequestMillijoules(res.obs.ledger);
+        return res;
+      });
+  return {plan, wants, std::move(sweep), seconds};
+}
+
+// Mean rps with its CI, flagged with the error rate past 1% errors.
+inline std::string RpsCell(const std::vector<WebCellResult>& reps) {
+  std::string cell = FormatMeanCI(Over(reps, &WebCellResult::rps), 0);
+  const double errors = Over(reps, &WebCellResult::error_rate).mean;
+  if (errors > 0.01) {
+    cell.append(" (err ").append(TextTable::Num(100 * errors, 0)).append("%)");
+  }
+  return cell;
+}
+
+inline std::string DelayCell(const std::vector<WebCellResult>& reps) {
+  return FormatMeanCI(Over(reps, &WebCellResult::delay_ms), 1);
+}
+
+// The error-free peak rps of one platform's full cluster, and its power.
+struct PeakPoint {
+  double rps = 0;
+  double power = 0;
+};
+struct LadderPeaks {
+  PeakPoint edison;  // 24 Edison
+  PeakPoint dell;    // 2 Dell
+};
+
+// Prints the Figure 4/7 or 6/9 pair for a (concurrency, scale) row-major
+// grid: rps with the full clusters' power (and their mJ/req when the
+// energy ledger is on), then mean delay, each exported under its CSV name.
+inline LadderPeaks PrintLadderTables(const WebGrid& grid,
+                                     const std::vector<WebScale>& scales,
+                                     const std::vector<double>& levels,
+                                     const std::string& rps_title,
+                                     const std::string& delay_title,
+                                     const char* rps_csv,
+                                     const char* delay_csv) {
+  TextTable rps(rps_title);
+  TextTable delay(delay_title);
+  std::vector<std::string> header{"Concurrency"};
+  for (const WebScale& s : scales) header.push_back(s.label);
+  delay.SetHeader(header);
+  header.push_back("Edison power (24)");
+  header.push_back("Dell power (2)");
+  if (grid.wants.energy) {
+    header.push_back("Edison mJ/req (24)");
+    header.push_back("Dell mJ/req (2)");
+  }
+  rps.SetHeader(header);
+
+  LadderPeaks peaks;
+  std::size_t idx = 0;
+  for (double conc : levels) {
+    std::vector<std::string> rps_row{TextTable::Num(conc, 0)};
+    std::vector<std::string> delay_row{TextTable::Num(conc, 0)};
+    double edison_power = 0, dell_power = 0;
+    double edison_mj = 0, dell_mj = 0;
+    for (const WebScale& scale : scales) {
+      const std::vector<WebCellResult>& reps = grid.sweep[idx++];
+      rps_row.push_back(RpsCell(reps));
+      delay_row.push_back(DelayCell(reps));
+      const bool edison = scale.label == "24 Edison";
+      if (!edison && scale.label != "2 Dell") continue;
+      const double power = Over(reps, &WebCellResult::power).mean;
+      (edison ? edison_power : dell_power) = power;
+      if (grid.wants.energy) {
+        (edison ? edison_mj : dell_mj) =
+            Over(reps, &WebCellResult::mj_per_req).mean;
+      }
+      const double rate = Over(reps, &WebCellResult::rps).mean;
+      PeakPoint& peak = edison ? peaks.edison : peaks.dell;
+      if (Over(reps, &WebCellResult::error_rate).mean <= 0.01 &&
+          rate > peak.rps) {
+        peak = {rate, power};
+      }
+    }
+    rps_row.push_back(TextTable::Num(edison_power, 1) + " W");
+    rps_row.push_back(TextTable::Num(dell_power, 1) + " W");
+    if (grid.wants.energy) {
+      rps_row.push_back(TextTable::Num(edison_mj, 2));
+      rps_row.push_back(TextTable::Num(dell_mj, 2));
+    }
+    rps.AddRow(rps_row);
+    delay.AddRow(delay_row);
+  }
+  rps.Print();
+  MaybeExportCsv(rps, rps_csv);
+  std::printf("\n");
+  delay.Print();
+  MaybeExportCsv(delay, delay_csv);
+  return peaks;
 }
 
 // -- Coordinated-omission annotation (docs/openloop.md) ----------------
@@ -88,10 +246,28 @@ inline bool PeelOmissionFlag(int* argc, char** argv) {
   return found;
 }
 
-inline std::string FormatOmissionCell(double dispatch_p99_ms,
-                                      double intended_p99_ms) {
-  return TextTable::Num(dispatch_p99_ms, 1) + " / " +
-         TextTable::Num(intended_p99_ms, 1);
+// One row per concurrency level and one "dispatch / intended" p99 cell
+// per column, read from the sweep in order from cell `first`.
+inline void PrintOmissionTable(const std::string& title,
+                               const std::vector<std::string>& columns,
+                               const std::vector<double>& levels,
+                               const WebSweep& sweep, std::size_t first) {
+  TextTable table(title);
+  std::vector<std::string> header{"Concurrency"};
+  header.insert(header.end(), columns.begin(), columns.end());
+  table.SetHeader(header);
+  for (double conc : levels) {
+    std::vector<std::string> row{TextTable::Num(conc, 0)};
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      const std::vector<WebCellResult>& reps = sweep[first++];
+      row.push_back(
+          TextTable::Num(Over(reps, &WebCellResult::disp_p99_ms).mean, 1) +
+          " / " +
+          TextTable::Num(Over(reps, &WebCellResult::intended_p99_ms).mean, 1));
+    }
+    table.AddRow(row);
+  }
+  table.Print();
 }
 
 inline void PrintOmissionNote() {

@@ -52,14 +52,16 @@ int main() {
   tco.SetHeader({"Deployment", "Nodes", "TCO"});
   const auto dell_params = core::TcoParamsFor(dell);
   tco.AddRow({"Dell R620", "3",
-              "$" + TextTable::Num(core::TcoUsd(dell_params, 3, 0.75), 0)});
+              std::string("$").append(
+                  TextTable::Num(core::TcoUsd(dell_params, 3, 0.75), 0))});
   for (const std::string name : {"edison", "micro-ng"}) {
     const auto profile = hw::ProfileRegistry::Get(name);
     const auto r = core::ComputeReplacement(*profile, dell);
     const int nodes = 3 * r.nodes_to_replace_one;
     const auto params = core::TcoParamsFor(*profile);
     tco.AddRow({name, std::to_string(nodes),
-                "$" + TextTable::Num(core::TcoUsd(params, nodes, 0.75), 0)});
+                std::string("$").append(
+                    TextTable::Num(core::TcoUsd(params, nodes, 0.75), 0))});
   }
   tco.Print();
   return 0;

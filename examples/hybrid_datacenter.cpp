@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
                   tier(plan.web_nodes, plan.web_profile),
                   tier(plan.batch_nodes, plan.batch_profile),
                   TextTable::Num(plan.mean_power, 0) + " W",
-                  "$" + TextTable::Num(plan.tco_3yr_usd, 0), ""});
+                  std::string("$").append(TextTable::Num(plan.tco_3yr_usd, 0)),
+                  ""});
   }
   table.Print();
 

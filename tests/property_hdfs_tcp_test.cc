@@ -78,7 +78,7 @@ TEST_P(HdfsProperty, PlacementIsBalanced) {
   std::map<int, int> per_node;
   for (int f = 0; f < 8; ++f) {
     const auto& file =
-        hdfs_->LoadFile("f" + std::to_string(f), file_size);
+        hdfs_->LoadFile(std::string("f").append(std::to_string(f)), file_size);
     for (const auto& b : file.blocks) {
       for (int id : b.replica_nodes) ++per_node[id];
     }
